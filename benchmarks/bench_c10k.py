@@ -1,23 +1,21 @@
-"""C10K bench: concurrent-session capacity + relay goodput, per driver.
+"""C10K bench: concurrent-session capacity + relay goodput of one depot.
 
 The paper's depot is meant to stand in the middle of many simultaneous
-logistical sessions. This bench measures, for each real-socket driver
-(``threads`` = :mod:`repro.sockets`, ``asyncio`` = :mod:`repro.asockets`):
+logistical sessions. This bench measures, for the asyncio depot
+(:class:`repro.asockets.AsyncDepot`):
 
 1. **Concurrency** — N sessions opened through one depot and *held
    open simultaneously* (header + first half of the payload sent, then
    a barrier), released together, all verified complete at the sink.
-   The depot's ``active_sessions`` gauge must actually reach N — this
-   is held-open concurrency, not sequential throughput. The threaded
-   driver burns three threads per relayed session, so its target is
-   capped; the asyncio driver is expected to reach the full target
-   (≥ 2,000 by default) on one event loop.
+   The depot's ``active_sessions`` gauge must actually reach N (≥ 2,000
+   by default, on one event loop) — this is held-open concurrency, not
+   sequential throughput.
 2. **Goodput** — one large relay through the depot, wall-clocked at
    the sink (loopback; the GIL caveat from the package docstring
-   applies to absolute numbers, the A/B comparison is the point).
+   applies to absolute numbers).
 
-After each phase the harness asserts no leaked session tasks/threads
-and that the depot still accepts (accept-loop death fails the bench).
+After each phase the harness asserts no leaked session tasks and that
+the depot still accepts (accept-loop death fails the bench).
 
 Writes a ``BENCH_summary.json`` (same shape the pytest-benchmark
 conftest emits) into ``REPRO_METRICS_DIR`` (or the working directory).
@@ -26,7 +24,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_c10k.py            # full
     PYTHONPATH=src python benchmarks/bench_c10k.py --smoke    # CI, <60s
-    PYTHONPATH=src python benchmarks/bench_c10k.py --driver asyncio
 """
 
 from __future__ import annotations
@@ -41,20 +38,9 @@ import time
 from pathlib import Path
 
 from repro.asockets import AsyncDepot, AsyncLslClient
-from repro.sockets import ThreadedDepot
 
-FULL = {
-    "asyncio_sessions": 2000,
-    "threads_sessions": 256,
-    "goodput_bytes": 64 << 20,
-    "min_asyncio_sessions": 2000,
-}
-SMOKE = {
-    "asyncio_sessions": 500,
-    "threads_sessions": 96,
-    "goodput_bytes": 8 << 20,
-    "min_asyncio_sessions": 500,
-}
+FULL = {"sessions": 2000, "goodput_bytes": 64 << 20}
+SMOKE = {"sessions": 500, "goodput_bytes": 8 << 20}
 
 HOLD_PAYLOAD = 2048  # per held-open session: tiny, fd-bound not byte-bound
 
@@ -211,64 +197,58 @@ async def run_goodput(depot, nbytes: int) -> dict:
     }
 
 
-def bench_driver(name: str, cfg: dict) -> dict:
-    depot_cls = AsyncDepot if name == "asyncio" else ThreadedDepot
-    sessions = cfg[f"{name}_sessions"]
-
-    depot = depot_cls()
+def bench(cfg: dict) -> dict:
+    depot = AsyncDepot()
     try:
-        conc = asyncio.run(run_concurrency(depot, sessions))
+        conc = asyncio.run(run_concurrency(depot, cfg["sessions"]))
     finally:
         depot.shutdown()
-    if name == "asyncio":
-        conc["leaked_tasks"] = depot.active_tasks
+    conc["leaked_tasks"] = depot.active_tasks
 
-    depot = depot_cls()
+    depot = AsyncDepot()
     try:
         goodput = asyncio.run(run_goodput(depot, cfg["goodput_bytes"]))
     finally:
         depot.shutdown()
 
-    return {"driver": name, "concurrency": conc, "goodput": goodput}
+    return {"concurrency": conc, "goodput": goodput}
 
 
-def verdicts(results, cfg) -> list:
+def verdicts(row) -> list:
     problems = []
-    for row in results:
-        d = row["driver"]
-        conc = row["concurrency"]
-        if not conc["accept_loop_alive"]:
-            problems.append(f"{d}: accept loop died under load")
-        if conc["leaked_active"] > 0:
-            problems.append(f"{d}: {conc['leaked_active']} sessions leaked")
-        if conc.get("leaked_tasks"):
-            problems.append(f"{d}: {conc['leaked_tasks']} tasks leaked")
-        if conc["depot"]["sessions_failed"]:
-            problems.append(
-                f"{d}: depot counted "
-                f"{conc['depot']['sessions_failed']} failed sessions"
-            )
-        if conc["client_errors"]:
-            problems.append(
-                f"{d}: {conc['client_errors']} client errors "
-                f"(first: {conc['first_errors']})"
-            )
-        if conc["completed_at_sink"] < conc["target"]:
-            problems.append(
-                f"{d}: only {conc['completed_at_sink']}/{conc['target']} "
-                "sessions completed at the sink"
-            )
-        if not row["goodput"]["complete"]:
-            problems.append(f"{d}: goodput transfer incomplete")
-        if d == "asyncio" and conc["peak_active"] < cfg["min_asyncio_sessions"]:
-            problems.append(
-                f"asyncio: peak concurrency {conc['peak_active']} < "
-                f"required {cfg['min_asyncio_sessions']}"
-            )
+    conc = row["concurrency"]
+    if not conc["accept_loop_alive"]:
+        problems.append("accept loop died under load")
+    if conc["leaked_active"] > 0:
+        problems.append(f"{conc['leaked_active']} sessions leaked")
+    if conc["leaked_tasks"]:
+        problems.append(f"{conc['leaked_tasks']} tasks leaked")
+    if conc["depot"]["sessions_failed"]:
+        problems.append(
+            f"depot counted {conc['depot']['sessions_failed']} "
+            "failed sessions"
+        )
+    if conc["client_errors"]:
+        problems.append(
+            f"{conc['client_errors']} client errors "
+            f"(first: {conc['first_errors']})"
+        )
+    if conc["completed_at_sink"] < conc["target"]:
+        problems.append(
+            f"only {conc['completed_at_sink']}/{conc['target']} "
+            "sessions completed at the sink"
+        )
+    if conc["peak_active"] < conc["target"]:
+        problems.append(
+            f"peak concurrency {conc['peak_active']} < "
+            f"required {conc['target']}"
+        )
+    if not row["goodput"]["complete"]:
+        problems.append("goodput transfer incomplete")
     return problems
 
 
-def write_summary(results, total_wall, exitstatus) -> Path:
+def write_summary(row, total_wall, exitstatus) -> Path:
     outdir = Path(os.environ.get("REPRO_METRICS_DIR") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -278,7 +258,7 @@ def write_summary(results, total_wall, exitstatus) -> Path:
         "total_wall_s": round(total_wall, 3),
         "benchmarks": [
             {
-                "test": f"benchmarks/bench_c10k.py::{row['driver']}",
+                "test": "benchmarks/bench_c10k.py::c10k",
                 "group": "c10k",
                 "timing_s": {
                     "mean": row["concurrency"]["total_wall_s"],
@@ -286,7 +266,6 @@ def write_summary(results, total_wall, exitstatus) -> Path:
                 },
                 "c10k": row,
             }
-            for row in results
         ],
     }
     path = outdir / "BENCH_summary.json"
@@ -302,40 +281,35 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="CI profile: 500 held-open asyncio sessions, <60s total",
     )
-    parser.add_argument(
-        "--driver", choices=("threads", "asyncio", "both"), default="both"
-    )
     args = parser.parse_args(argv)
     cfg = SMOKE if args.smoke else FULL
     limit = raise_fd_limit()
-    need = cfg["asyncio_sessions"] * 4 + 256
-    if args.driver != "threads" and limit < need:
+    need = cfg["sessions"] * 4 + 256
+    if limit < need:
         print(
             f"warning: fd limit {limit} < {need}; "
-            "asyncio concurrency may fall short",
+            "concurrency may fall short",
             file=sys.stderr,
         )
 
-    drivers = ("threads", "asyncio") if args.driver == "both" else (args.driver,)
     t0 = time.perf_counter()
-    results = [bench_driver(name, cfg) for name in drivers]
+    row = bench(cfg)
     total_wall = time.perf_counter() - t0
 
-    for row in results:
-        conc, gp = row["concurrency"], row["goodput"]
-        print(
-            f"{row['driver']:>7}: {conc['peak_active']}/{conc['target']} "
-            f"concurrent sessions (opened in {conc['open_wall_s']}s, "
-            f"all drained in {conc['total_wall_s']}s), "
-            f"goodput {gp['goodput_mbps']} Mbit/s over "
-            f"{gp['nbytes'] >> 20} MiB"
-        )
+    conc, gp = row["concurrency"], row["goodput"]
+    print(
+        f"{conc['peak_active']}/{conc['target']} "
+        f"concurrent sessions (opened in {conc['open_wall_s']}s, "
+        f"all drained in {conc['total_wall_s']}s), "
+        f"goodput {gp['goodput_mbps']} Mbit/s over "
+        f"{gp['nbytes'] >> 20} MiB"
+    )
 
-    problems = verdicts(results, cfg)
+    problems = verdicts(row)
     for p in problems:
         print(f"FAIL: {p}", file=sys.stderr)
     status = 1 if problems else 0
-    path = write_summary(results, total_wall, status)
+    path = write_summary(row, total_wall, status)
     print(f"summary written to {path}")
     return status
 

@@ -1,8 +1,7 @@
 """Cluster scale-out bench: held-open session capacity per fleet size.
 
 A depot worker's held-open session capacity is bounded by per-process
-resources — one fd (plus a thread, on the threads driver) per terminal
-session. Spreading sessions across worker *processes* multiplies that
+resources — one fd per terminal session. Spreading sessions across worker *processes* multiplies that
 budget, which is the cluster's capacity story on any core count (the
 goodput story additionally needs real cores; on a 1-CPU runner the GIL
 serializes payload work, so goodput is reported but not asserted on).
@@ -28,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import resource
@@ -36,8 +36,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.asockets import AsyncLslClient
 from repro.cluster import WorkerPool
-from repro.sockets import LslSocketClient
 
 FULL = {
     "worker_fd_limit": 256,
@@ -93,7 +93,7 @@ def _fleet_completed(pool: WorkerPool) -> int:
     )
 
 
-def hold_sessions(pool: WorkerPool, cfg: dict) -> dict:
+async def hold_sessions(pool: WorkerPool, cfg: dict) -> dict:
     """Open held-open sessions until establishment fails; release all."""
     half = HOLD_PAYLOAD // 2
     clients = []
@@ -101,15 +101,17 @@ def hold_sessions(pool: WorkerPool, cfg: dict) -> dict:
     t0 = time.perf_counter()
     try:
         for _ in range(cfg["max_attempts"]):
+            client = AsyncLslClient(
+                [pool.address],
+                payload_length=HOLD_PAYLOAD,
+                digest=False,
+                timeout=cfg["open_timeout_s"],
+            )
             try:
-                client = LslSocketClient(
-                    [pool.address],
-                    payload_length=HOLD_PAYLOAD,
-                    digest=False,
-                    timeout=cfg["open_timeout_s"],
-                )
-                client.sendall(b"h" * half)
+                await client.connect()
+                await client.sendall(b"h" * half)
             except Exception as exc:  # noqa: BLE001 - capacity edge
+                client.close()
                 first_error = f"{type(exc).__name__}: {exc}"
                 break
             clients.append(client)
@@ -120,25 +122,25 @@ def hold_sessions(pool: WorkerPool, cfg: dict) -> dict:
             margin = 0
         for client in clients[:margin]:
             client.close()  # suspend, not complete: frees worker fds
-        time.sleep(0.5)
+        await asyncio.sleep(0.5)
         keep = clients[margin:]
         released = 0
         for start in range(0, len(keep), RELEASE_BATCH):
             for client in keep[start : start + RELEASE_BATCH]:
                 try:
-                    client.sendall(b"h" * (HOLD_PAYLOAD - half))
-                    client.finish()
-                    client.close()
+                    await client.sendall(b"h" * (HOLD_PAYLOAD - half))
+                    await client.finish()
                     released += 1
                 except Exception:  # noqa: BLE001 - tallied via counters
-                    client.close()
+                    pass
+                client.close()
             # pace the batches so concurrent completions stay inside
             # the fd headroom the margin created
             deadline = time.monotonic() + 15
             while time.monotonic() < deadline:
                 if _fleet_completed(pool) >= released:
                     break
-                time.sleep(0.05)
+                await asyncio.sleep(0.05)
     finally:
         for client in clients:
             client.close()
@@ -162,16 +164,20 @@ def hold_sessions(pool: WorkerPool, cfg: dict) -> dict:
 
 def run_goodput(pool: WorkerPool, nbytes: int) -> dict:
     chunk = b"g" * (1 << 20)
+
+    async def send() -> None:
+        async with AsyncLslClient(
+            [pool.address], payload_length=nbytes, digest=False
+        ) as client:
+            sent = 0
+            while sent < nbytes:
+                piece = chunk[: min(len(chunk), nbytes - sent)]
+                await client.sendall(piece)
+                sent += len(piece)
+            await client.finish()
+
     t0 = time.perf_counter()
-    with LslSocketClient(
-        [pool.address], payload_length=nbytes, digest=False
-    ) as client:
-        sent = 0
-        while sent < nbytes:
-            piece = chunk[: min(len(chunk), nbytes - sent)]
-            client.sendall(piece)
-            sent += len(piece)
-        client.finish()
+    asyncio.run(send())
     wall = time.perf_counter() - t0
     return {
         "nbytes": nbytes,
@@ -180,24 +186,22 @@ def run_goodput(pool: WorkerPool, nbytes: int) -> dict:
     }
 
 
-def bench_fleet(workers: int, cfg: dict, driver: str) -> dict:
+def bench_fleet(workers: int, cfg: dict) -> dict:
     with tempfile.TemporaryDirectory(prefix="lsl-scaleout-") as tmp:
         with _FdBudget(cfg["worker_fd_limit"]):
             pool = WorkerPool(
                 workers,
                 store_spec=f"file:{tmp}/store",
-                driver=driver,
                 publish_interval=0.1,
             )
         try:
-            held = hold_sessions(pool, cfg)
+            held = asyncio.run(hold_sessions(pool, cfg))
             goodput = run_goodput(pool, cfg["goodput_bytes"])
             alive = pool.workers_alive()
         finally:
             pool.shutdown()
     return {
         "workers": workers,
-        "driver": driver,
         "worker_fd_limit": cfg["worker_fd_limit"],
         "held": held,
         "goodput": goodput,
@@ -269,20 +273,17 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="CI profile: smaller fd budget and attempt cap",
     )
-    parser.add_argument(
-        "--driver", choices=("threads", "asyncio"), default="threads"
-    )
     args = parser.parse_args(argv)
     cfg = SMOKE if args.smoke else FULL
 
     t0 = time.perf_counter()
-    results = [bench_fleet(n, cfg, args.driver) for n in cfg["fleets"]]
+    results = [bench_fleet(n, cfg) for n in cfg["fleets"]]
     total_wall = time.perf_counter() - t0
 
     for row in results:
         held, gp = row["held"], row["goodput"]
         print(
-            f"{row['workers']}w ({row['driver']}, fd limit "
+            f"{row['workers']}w (fd limit "
             f"{row['worker_fd_limit']}/worker): held {held['capacity']} "
             f"sessions (opened in {held['open_wall_s']}s, "
             f"{held['completed']} completed), goodput "

@@ -1,8 +1,7 @@
-"""Striped-transfer chaos bench: seeded route failure, both drivers.
+"""Striped-transfer chaos bench: seeded route failure on real sockets.
 
-For each real-socket driver (``threads`` = :mod:`repro.sockets.striped`,
-``asyncio`` = :mod:`repro.asockets.striped`) this bench measures three
-loopback transfers of the same payload:
+Over the asyncio striped stack (:mod:`repro.asockets.striped`) this
+bench measures three loopback transfers of the same payload:
 
 1. **single** — one route, no striping (the baseline lane of the
    striped-vs-single A/B in ``docs/PERFORMANCE.md``);
@@ -30,7 +29,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_striped_chaos.py           # full
     PYTHONPATH=src python benchmarks/bench_striped_chaos.py --smoke   # CI
-    PYTHONPATH=src python benchmarks/bench_striped_chaos.py --driver asyncio
 """
 
 from __future__ import annotations
@@ -45,6 +43,8 @@ import sys
 import threading
 import time
 from pathlib import Path
+
+from repro.asockets import AsyncStripedServer, async_send_striped
 
 FULL = {"ab_bytes": 64 << 20, "chaos_bytes": 32 << 20, "rounds": 3}
 SMOKE = {"ab_bytes": 8 << 20, "chaos_bytes": 16 << 20, "rounds": 1}
@@ -93,35 +93,21 @@ class CrashingRelay:
             pass
 
 
-def make_driver(name):
-    """Return (server_factory, send) for one driver, same signatures."""
-    if name == "threads":
-        from repro.sockets.striped import StripedThreadedServer, send_striped
-
-        return StripedThreadedServer, send_striped
-
-    from repro.asockets.striped import AsyncStripedServer
-    from repro.asockets.striped import send_striped as async_send
-
-    def send(routes, payload, **kw):
-        return asyncio.run(async_send(routes, payload, **kw))
-
-    return AsyncStripedServer, send
-
-
-def timed_transfer(server_cls, send, payload, n_routes, redundancy,
-                   observer=None, crash_route=False):
+def timed_transfer(payload, n_routes, redundancy, observer=None,
+                   crash_route=False):
     relay = CrashingRelay() if crash_route else None
     try:
-        with server_cls("127.0.0.1") as server:
+        with AsyncStripedServer("127.0.0.1") as server:
             routes = [[server.address] for _ in range(n_routes)]
             if relay is not None:
                 routes[0] = [relay.address, server.address]
             t0 = time.perf_counter()
-            report = send(
-                routes, payload,
-                stripe_bytes=STRIPE, redundancy=redundancy,
-                sndbuf=SNDBUF, observer=observer,
+            report = asyncio.run(
+                async_send_striped(
+                    routes, payload,
+                    stripe_bytes=STRIPE, redundancy=redundancy,
+                    sndbuf=SNDBUF, observer=observer,
+                )
             )
             ok = server.wait_for_sessions(1, timeout=120.0)
             wall = time.perf_counter() - t0
@@ -139,15 +125,14 @@ def timed_transfer(server_cls, send, payload, n_routes, redundancy,
     }
 
 
-def bench_driver(name, cfg):
-    server_cls, send = make_driver(name)
+def bench(cfg):
     rng = random.Random(2001)
     ab_payload = rng.randbytes(cfg["ab_bytes"])
     chaos_payload = rng.randbytes(cfg["chaos_bytes"])
 
     def best(n_routes, redundancy):
         runs = [
-            timed_transfer(server_cls, send, ab_payload, n_routes, redundancy)
+            timed_transfer(ab_payload, n_routes, redundancy)
             for _ in range(cfg["rounds"])
         ]
         return min(runs, key=lambda r: r["wall_s"])
@@ -157,7 +142,7 @@ def bench_driver(name, cfg):
 
     events = []
     chaos = timed_transfer(
-        server_cls, send, chaos_payload, ROUTES, "duplicate-1",
+        chaos_payload, ROUTES, "duplicate-1",
         observer=events.append, crash_route=True,
     )
     chaos["resume_events"] = sum(
@@ -165,14 +150,13 @@ def bench_driver(name, cfg):
     )
 
     row = {
-        "driver": name,
         "bytes": cfg["ab_bytes"],
         "single": single,
         "striped": striped,
         "chaos": chaos,
     }
     print(
-        f"{name:>7}: single {single['mbps']} Mbit/s, "
+        f"single {single['mbps']} Mbit/s, "
         f"striped x{ROUTES} {striped['mbps']} Mbit/s, "
         f"chaos(dup-1, 1 route crashed) "
         f"{'ok' if chaos['complete'] else 'FAILED'} "
@@ -182,27 +166,25 @@ def bench_driver(name, cfg):
     return row
 
 
-def check(results):
+def check(row):
     problems = []
-    for row in results:
-        d = row["driver"]
-        for lane in ("single", "striped"):
-            if not (row[lane]["complete"] and row[lane]["digest_ok"]):
-                problems.append(f"{d}: {lane} transfer incomplete")
-        chaos = row["chaos"]
-        if not (chaos["complete"] and chaos["digest_ok"]):
-            problems.append(f"{d}: chaos transfer did not degrade cleanly")
-        if chaos["sublink_errors"] < 1:
-            problems.append(f"{d}: the crashed route went unobserved")
-        if chaos["resume_events"] != 0:
-            problems.append(
-                f"{d}: {chaos['resume_events']} resume round-trip(s); "
-                "duplicate-1 must need zero"
-            )
+    for lane in ("single", "striped"):
+        if not (row[lane]["complete"] and row[lane]["digest_ok"]):
+            problems.append(f"{lane} transfer incomplete")
+    chaos = row["chaos"]
+    if not (chaos["complete"] and chaos["digest_ok"]):
+        problems.append("chaos transfer did not degrade cleanly")
+    if chaos["sublink_errors"] < 1:
+        problems.append("the crashed route went unobserved")
+    if chaos["resume_events"] != 0:
+        problems.append(
+            f"{chaos['resume_events']} resume round-trip(s); "
+            "duplicate-1 must need zero"
+        )
     return problems
 
 
-def write_summary(results, total_wall, exitstatus) -> Path:
+def write_summary(row, total_wall, exitstatus) -> Path:
     outdir = Path(os.environ.get("REPRO_METRICS_DIR") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -212,12 +194,11 @@ def write_summary(results, total_wall, exitstatus) -> Path:
         "total_wall_s": round(total_wall, 3),
         "benchmarks": [
             {
-                "test": f"benchmarks/bench_striped_chaos.py::{row['driver']}",
+                "test": "benchmarks/bench_striped_chaos.py::chaos",
                 "group": "striped-chaos",
                 "timing_s": {"mean": row["chaos"]["wall_s"], "rounds": 1},
                 "striped_chaos": row,
             }
-            for row in results
         ],
     }
     path = outdir / "BENCH_summary.json"
@@ -233,22 +214,18 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="CI profile: 8M A/B + 16M chaos, one round each",
     )
-    parser.add_argument(
-        "--driver", choices=("threads", "asyncio", "both"), default="both"
-    )
     args = parser.parse_args(argv)
     cfg = SMOKE if args.smoke else FULL
 
-    drivers = ("threads", "asyncio") if args.driver == "both" else (args.driver,)
     t0 = time.perf_counter()
-    results = [bench_driver(name, cfg) for name in drivers]
+    row = bench(cfg)
     total_wall = time.perf_counter() - t0
 
-    problems = check(results)
+    problems = check(row)
     for p in problems:
         print(f"FAIL: {p}", file=sys.stderr)
     exitstatus = 1 if problems else 0
-    path = write_summary(results, total_wall, exitstatus)
+    path = write_summary(row, total_wall, exitstatus)
     print(f"summary -> {path}")
     return exitstatus
 

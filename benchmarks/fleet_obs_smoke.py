@@ -27,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import random
@@ -34,12 +35,13 @@ import sys
 import tempfile
 import time
 import urllib.request
+from contextlib import closing
 from pathlib import Path
 
+from repro.asockets import AsyncLslClient
 from repro.cluster import WorkerPool
 from repro.experiments.runner import main as cli_main
 from repro.lsl.core import real_digest_factory
-from repro.sockets import LslSocketClient
 from repro.telemetry.exposition import parse_prometheus_text
 from repro.telemetry.tracing import TraceSpool
 
@@ -63,6 +65,17 @@ def _scrape(url: str) -> str:
         return resp.read().decode()
 
 
+async def _traced_transfer(address, spool: TraceSpool) -> None:
+    async with AsyncLslClient(
+        [address],
+        payload_length=len(PAYLOAD),
+        digest_factory=real_digest_factory(PAYLOAD),
+        tracer=spool,
+    ) as client:
+        await client.sendall(PAYLOAD)
+        await client.finish()
+
+
 def run(workdir: Path) -> dict:
     spans_dir = workdir / "spans"
     spans_dir.mkdir()
@@ -71,8 +84,12 @@ def run(workdir: Path) -> dict:
         "client", path=spans_dir / "spans-client.jsonl"
     )
     checks: dict = {"workers": 4}
+    # one client loop for the whole drill: the crashed session stays
+    # open on it while the owning worker is killed
+    loop = asyncio.new_event_loop()
+    drive = loop.run_until_complete
 
-    with WorkerPool(
+    with closing(loop), WorkerPool(
         4,
         store_spec=f"file:{workdir / 'store'}",
         checkpoint_bytes=CHECKPOINT,
@@ -94,26 +111,19 @@ def run(workdir: Path) -> dict:
 
         # -- clean traced transfers --------------------------------
         for i in range(CLEAN_SESSIONS):
-            with LslSocketClient(
-                [pool.address],
-                payload_length=len(PAYLOAD),
-                digest_factory=real_digest_factory(PAYLOAD),
-                tracer=client_spool,
-            ) as client:
-                client.sendall(PAYLOAD)
-                client.finish()
+            drive(_traced_transfer(pool.address, client_spool))
 
         # -- the crash: SIGKILL the owner mid-payload, resume on the
         # same trace id via a surviving worker ---------------------
         sid = bytes(range(16))
-        crashed = LslSocketClient(
+        crashed = drive(AsyncLslClient.open(
             [pool.address],
             payload_length=len(PAYLOAD),
             session_id=sid,
             tracer=client_spool,
-        )
+        ))
         crash_trace = crashed.trace_id
-        crashed.sendall(PAYLOAD[:CUT])
+        drive(crashed.sendall(PAYLOAD[:CUT]))
         assert _wait(
             lambda: (pool.store.load(sid) or None) is not None
             and pool.store.load(sid).bytes_received >= CHECKPOINT
@@ -121,7 +131,7 @@ def run(workdir: Path) -> dict:
         owner_idx = int(pool.store.load(sid).owner[1:])
         pool.kill(owner_idx)
         crashed.close()
-        with LslSocketClient(
+        resumed = drive(AsyncLslClient.open(
             [pool.address],
             payload_length=len(PAYLOAD),
             session_id=sid,
@@ -130,11 +140,12 @@ def run(workdir: Path) -> dict:
             digest_factory=real_digest_factory(PAYLOAD),
             tracer=client_spool,
             trace_id=crash_trace,
-        ) as resumed:
-            granted = resumed.granted_offset
-            assert CHECKPOINT <= granted <= CUT, granted
-            resumed.sendall(PAYLOAD[granted:])
-            resumed.finish()
+        ))
+        granted = resumed.granted_offset
+        assert CHECKPOINT <= granted <= CUT, granted
+        drive(resumed.sendall(PAYLOAD[granted:]))
+        drive(resumed.finish())
+        resumed.close()
         assert _wait(lambda: pool.store.load(sid).closed), "resume never closed"
 
         def fleet(name):

@@ -15,8 +15,9 @@ The package implements, from scratch:
 - packet-trace analysis mirroring the paper's methodology
   (:mod:`repro.analysis`),
 - the paper's experimental campaign (:mod:`repro.experiments`), and
-- a real-socket prototype of the ``lsd`` depot daemon
-  (:mod:`repro.sockets`).
+- a real-socket implementation of the client, ``lsd`` depot daemon
+  and server on asyncio (:mod:`repro.asockets`), with a multi-worker
+  depot cluster (:mod:`repro.cluster`).
 
 Quickstart
 ----------

@@ -1,13 +1,14 @@
 """Asyncio LSL client over real sockets.
 
-Drives the exact machines the blocking client drives —
-:func:`~repro.sockets.client.plan_client_session` builds the header,
+A thin driver over the sans-I/O machines:
+:func:`plan_client_session` builds the header,
 :class:`~repro.lsl.core.ClientHandshake` and
-:class:`~repro.lsl.core.PayloadSender` from the same arguments — so
-the two clients put byte-identical streams on the wire. The transport
-is a plain non-blocking socket driven through ``loop.sock_*``; during
-establishment reads are capped at ``handshake.bytes_needed`` so no
-reverse-direction application byte is ever swallowed.
+:class:`~repro.lsl.core.PayloadSender` — the same machines the
+simulator client drives, so the two put byte-identical streams on the
+wire (``tests/diff`` pins this). The transport is a plain non-blocking
+socket driven through ``loop.sock_*``; during establishment reads are
+capped at ``handshake.bytes_needed`` so no reverse-direction
+application byte is ever swallowed.
 
 Usage::
 
@@ -15,6 +16,8 @@ Usage::
     await client.sendall(data)
     await client.finish()
     client.close()
+
+Blocking callers wrap a whole transfer in ``asyncio.run``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,73 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.lsl.core import (
     MAX_FRAME_PAYLOAD,
+    STREAM_UNTIL_FIN,
+    ClientHandshake,
+    LslError,
+    LslHeader,
+    PayloadSender,
     ProtocolError,
+    RouteHop,
     StreamDigest,
     TraceContext,
     encode_frame_header,
+    new_session_id,
 )
-from repro.lsl.session import new_session_id
-from repro.sockets.client import plan_client_session
 from repro.telemetry.tracing import TraceSpool, new_trace_id
+
+
+def plan_client_session(
+    route: Sequence[Tuple[str, int]],
+    payload_length: Optional[int] = None,
+    digest: bool = True,
+    sync: bool = True,
+    rng: Optional[random.Random] = None,
+    framed: bool = False,
+    session_id: Optional[bytes] = None,
+    rebind: bool = False,
+    resume_offset: int = 0,
+    resume_query: bool = False,
+    digest_state: Optional[StreamDigest] = None,
+    digest_factory: Optional[Callable[[int], StreamDigest]] = None,
+    trace: Optional[TraceContext] = None,
+) -> Tuple[LslHeader, ClientHandshake, PayloadSender]:
+    """Validate client options and build the session's core machines.
+
+    Kept apart from the socket code so a bad combination of options
+    raises before any connection exists, and the same options always
+    produce the same header bytes and handshake/sender state.
+    """
+    if digest and payload_length is None:
+        raise LslError("digest=True requires payload_length")
+    if framed and payload_length is None:
+        raise LslError("framed=True requires payload_length")
+    if resume_query and not rebind:
+        raise LslError("resume_query only applies to rebinds")
+    if resume_query and not sync:
+        raise LslError("resume_query requires sync establishment")
+    if resume_query and digest and digest_factory is None:
+        raise LslError("resume_query with digest needs digest_factory")
+    hops = tuple(RouteHop(h, p) for h, p in route)
+    if session_id is None:
+        session_id = new_session_id(rng or random.Random())
+    header = LslHeader(
+        session_id=session_id,
+        route=hops,
+        hop_index=0,
+        payload_length=(
+            STREAM_UNTIL_FIN if payload_length is None else payload_length
+        ),
+        digest=digest,
+        sync=sync,
+        framed=framed,
+        rebind=rebind,
+        resume_offset=0 if resume_query else resume_offset,
+        resume_query=resume_query,
+        trace=trace,
+    )
+    handshake = ClientHandshake(header)
+    sender = PayloadSender(header, digest_state, digest_factory)
+    return header, handshake, sender
 
 
 class AsyncLslClient:

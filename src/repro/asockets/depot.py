@@ -1,42 +1,119 @@
-"""``lsd`` on asyncio — the C10K depot driver.
+"""``lsd`` on asyncio — the real-socket depot.
 
-Same protocol duties as :class:`repro.sockets.lsd.ThreadedDepot`
-(both are thin drivers over :class:`~repro.lsl.core.RelayCore`), but
-one event loop carries every session instead of three threads per
-session, so concurrent-session count is bounded by file descriptors,
-not threads. The relay pumps are zero-copy on the Python side: one
-preallocated buffer per direction, ``sock_recv_into`` filling it and
-``sock_sendall`` draining a ``memoryview`` slice, no per-chunk bytes
-objects.
+A thin driver over :class:`~repro.lsl.core.RelayCore`: one event loop
+carries every session, so concurrent-session count is bounded by file
+descriptors, not threads. The relay pumps are zero-copy on the Python
+side: one preallocated buffer per direction, ``sock_recv_into``
+filling it and ``sock_sendall`` draining a ``memoryview`` slice, no
+per-chunk bytes objects.
 
-Counter accounting, the :class:`~repro.lsl.core.ProtocolObserver`
-event plane, and the ``/metrics`` + ``/healthz`` + ``/events``
-exposition surface are shared with the threaded driver — a scrape
-cannot tell which driver is behind the socket.
+Counter accounting (:class:`DepotCounters`), the
+:class:`~repro.lsl.core.ProtocolObserver` event plane, and the
+``/metrics`` + ``/healthz`` + ``/events`` exposition surface
+(:mod:`repro.telemetry.obs`) are shared with the cluster workers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
+import threading
 from typing import Dict, Optional
 
-from repro.lsl.core import Chunk, ProtocolObserver, RelayCore, RelayReject
+from repro.lsl.core import (
+    Chunk,
+    ProtocolError,
+    ProtocolObserver,
+    RelayCore,
+    RelayReject,
+)
 from repro.lsl.core.events import emit
-from repro.lsl.errors import ProtocolError
 from repro.asockets.runtime import AsyncLoopService
-from repro.sockets.lsd import DepotCounters
-from repro.sockets.wire import CHUNK
+from repro.asockets.wire import CHUNK, header_phase
 from repro.telemetry.tracing import TraceSpool
+
+
+class DepotCounters:
+    """Thread-safe depot counters with an active-session gauge.
+
+    The event loop mutates them while the exposition server's threads
+    read them, so all mutation goes through :meth:`add` / the session
+    gauge helpers under one internal lock, and :meth:`snapshot` returns
+    a consistent view — readers never see a torn update. Mirrors the
+    simulator depot's outcome accounting: ``sessions_completed`` only
+    when the relay drained cleanly in both directions,
+    ``sessions_failed`` otherwise.
+    """
+
+    _FIELDS = (
+        "sessions_accepted",
+        "sessions_completed",
+        "sessions_failed",
+        "sessions_suspended",
+        "sessions_expired",
+        "bytes_relayed",
+        "accept_errors",
+        "takeovers",
+    )
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._values: Dict[str, int] = {name: 0 for name in self._FIELDS}
+        self._active = 0
+
+    def add(self, **deltas: int) -> None:
+        with self._lock:
+            for name, delta in deltas.items():
+                if name not in self._values:
+                    raise AttributeError(f"unknown counter {name!r}")
+                self._values[name] += delta
+
+    def session_started(self) -> None:
+        with self._lock:
+            self._values["sessions_accepted"] += 1
+            self._active += 1
+
+    def session_ended(self, completed: bool) -> None:
+        with self._lock:
+            self._active -= 1
+            key = "sessions_completed" if completed else "sessions_failed"
+            self._values[key] += 1
+
+    def session_suspended(self) -> None:
+        """A terminal session EOFed mid-payload and is parked for a
+        rebind — neither completed nor failed yet."""
+        with self._lock:
+            self._active -= 1
+            self._values["sessions_suspended"] += 1
+
+    @property
+    def active_sessions(self) -> int:
+        with self._lock:
+            return self._active
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            snap = dict(self._values)
+            snap["active_sessions"] = self._active
+            return snap
+
+    def __getattr__(self, name: str) -> int:
+        if name in DepotCounters._FIELDS:
+            with self._lock:
+                return self._values[name]
+        raise AttributeError(name)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"DepotCounters({self.snapshot()})"
 
 
 class AsyncDepot(AsyncLoopService):
     """A depot relaying sessions on one event loop until ``shutdown``.
 
-    ``connect_timeout`` bounds the downstream dial only — established
-    relays carry no timeout, so arbitrarily long mid-transfer idle gaps
-    never kill a healthy session (the threaded stack's old 30 s
-    idle-kill bug cannot exist here by construction).
+    ``connect_timeout`` bounds the downstream dial only and
+    :data:`~repro.asockets.wire.HEADER_TIMEOUT_S` the header phase —
+    established relays carry no timeout, so arbitrarily long
+    mid-transfer idle gaps never kill a healthy session.
     """
 
     _thread_prefix = "alsd"
@@ -84,7 +161,8 @@ class AsyncDepot(AsyncLoopService):
         completed = False
         failure: Optional[BaseException] = None
         core = RelayCore(observer=self._observer)
-        try:
+
+        async def decide():
             decision = None
             while decision is None:
                 data = await loop.sock_recv(upstream, CHUNK)
@@ -94,6 +172,10 @@ class AsyncDepot(AsyncLoopService):
                         "upstream closed during header phase"
                     )
                 decision = core.feed([Chunk.real(data)])
+            return decision
+
+        try:
+            decision = await header_phase(decide())
             if isinstance(decision, RelayReject):
                 raise decision.error
             await self._relay(upstream, decision)
@@ -222,13 +304,8 @@ class AsyncDepot(AsyncLoopService):
         port: int = 0,
         event_log=None,
     ):
-        """Serve ``/metrics`` + ``/healthz`` + ``/events`` for this depot.
-
-        Identical surface to the threaded depot's — same families, same
-        label set — so dashboards and the diagnosis tooling work
-        unchanged whichever driver runs the depot.
-        """
-        from repro.sockets.obs import ExpositionServer, depot_families
+        """Serve ``/metrics`` + ``/healthz`` + ``/events`` for this depot."""
+        from repro.telemetry.obs import ExpositionServer, depot_families
 
         def collect():
             return depot_families(self.counters.snapshot(), event_log)
@@ -237,7 +314,6 @@ class AsyncDepot(AsyncLoopService):
             return {
                 "status": "ok",
                 "depot": f"{self.address[0]}:{self.address[1]}",
-                "driver": "asyncio",
                 "active_sessions": self.counters.active_sessions,
             }
 

@@ -3,31 +3,74 @@
 :class:`AsyncLoopService` is the shared chassis of the asyncio depot
 and server: it owns a bound listener socket, a private event loop
 running on one daemon thread, an accept loop that survives transient
-``accept()`` failures (the threaded stack's permadeath bug class), and
-a graceful shutdown that drains in-flight session tasks before
-cancelling stragglers.
+``accept()`` failures (EMFILE, ECONNABORTED, ...), and a graceful
+shutdown that drains in-flight session tasks before cancelling
+stragglers.
 
-The constructor returns with the listener bound and the loop accepting
-— same contract as the threaded classes, so tests, the CLI, and the
-benchmarks can treat either driver interchangeably. All cross-thread
-interaction goes through ``call_soon_threadsafe``; everything else
-runs single-threaded inside the loop, which is what lets the session
-logic drop the per-session locks the threaded drivers need.
+The constructor returns with the listener bound and the loop accepting,
+so tests, the CLI, and the benchmarks can use a service as soon as it
+exists. All cross-thread interaction goes through
+``call_soon_threadsafe``; everything else runs single-threaded inside
+the loop, which is what lets the session logic go without per-session
+locks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 import socket
 import threading
 from typing import Optional, Set, Tuple
 
-from repro.sockets.lsd import (
-    _ACCEPT_RETRY_DELAY_S,
-    _FATAL_ACCEPT_ERRNOS,
-    LISTEN_BACKLOG,
-    make_listener,
+#: Default listen backlog. The kernel clamps to ``net.core.somaxconn``
+#: anyway, so asking high is free, and a shallow queue drops SYNs under
+#: a connection storm.
+LISTEN_BACKLOG = 128
+
+#: ``errno`` values that mean the *listener itself* is gone — any other
+#: ``OSError`` out of ``accept()`` (EMFILE, ENFILE, ECONNABORTED,
+#: ENOBUFS, ...) is a transient, per-connection condition the accept
+#: loop must survive.
+_FATAL_ACCEPT_ERRNOS = frozenset(
+    {errno.EBADF, errno.ENOTSOCK, errno.EINVAL}
 )
+
+#: Pause before retrying a transiently-failed ``accept()`` — long
+#: enough for fds to be released under EMFILE pressure, short enough
+#: to be invisible at human timescales.
+_ACCEPT_RETRY_DELAY_S = 0.05
+
+
+def make_listener(
+    host: str,
+    port: int,
+    *,
+    backlog: int = LISTEN_BACKLOG,
+    reuse_port: bool = False,
+    listen: bool = True,
+) -> socket.socket:
+    """Create a bound (and by default listening) TCP listener socket.
+
+    ``reuse_port=True`` joins/creates an ``SO_REUSEPORT`` group on
+    ``(host, port)`` so several workers — event loops or processes —
+    can accept on the same port and let the kernel load-balance inbound
+    connections (the cluster's shared-listener mode).
+    ``listen=False`` yields a bound-but-not-listening socket: a parent
+    process uses it to *reserve* a concrete port for a REUSEPORT group
+    without itself receiving connections (only LISTEN sockets are in
+    the kernel's dispatch set).
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    if reuse_port:
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise OSError("SO_REUSEPORT is not available on this platform")
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    sock.bind((host, port))
+    if listen:
+        sock.listen(backlog)
+    return sock
 
 
 class AsyncLoopService:
@@ -46,9 +89,8 @@ class AsyncLoopService:
         reuse_port: bool = False,
         listener: Optional[socket.socket] = None,
     ) -> None:
-        # one loop can hold thousands of sessions, so connection storms
-        # proportionally deeper than the threaded stack's are expected;
-        # the kernel clamps to net.core.somaxconn. An injected listener
+        # the kernel clamps the backlog to net.core.somaxconn. An
+        # injected listener
         # (already bound + listening) supports the cluster's FD-handoff
         # mode; reuse_port joins a shared-port worker group.
         self._listener = (

@@ -1,16 +1,15 @@
 """Asyncio LSL server over real sockets.
 
-The same sans-I/O machines as the threaded server —
+A thin driver over the sans-I/O machines —
 :class:`~repro.lsl.core.SessionAcceptor` arbitrates
 fresh/rebind/restart, :class:`~repro.lsl.core.PayloadReceiver` /
 :class:`~repro.lsl.core.FramedReceiver` own payload accounting and the
 end-to-end MD5, :func:`~repro.lsl.core.negotiate_resume` answers
-resume queries — driven from one event loop. Because all session
-logic runs single-threaded in that loop, the threaded server's
-per-session locks disappear: a rebind simply cancels the task serving
-the dead sublink (its pending read wakes with ``CancelledError`` and
-closes only its own socket) and re-attaches the receiver state to the
-new sublink's task.
+resume queries — run from one event loop. Because all session logic
+runs single-threaded in that loop, no per-session lock is needed: a
+rebind simply cancels the task serving the dead sublink (its pending
+read wakes with ``CancelledError`` and closes only its own socket) and
+re-attaches the receiver state to the new sublink's task.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 import asyncio
@@ -31,7 +31,9 @@ from repro.lsl.core import (
     EOF_SUSPEND,
     Failed,
     FramedReceiver,
+    LslHeader,
     PayloadReceiver,
+    ProtocolError,
     ProtocolObserver,
     RejectSession,
     RestartSession,
@@ -40,13 +42,20 @@ from repro.lsl.core import (
     negotiate_resume,
 )
 from repro.lsl.core.events import emit
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import LslHeader
 from repro.asockets.runtime import AsyncLoopService
-from repro.asockets.wire import read_header
-from repro.sockets.server import SessionResult
-from repro.sockets.wire import CHUNK
+from repro.asockets.wire import CHUNK, header_phase, read_header
 from repro.telemetry.tracing import TraceSpool
+
+
+@dataclass
+class SessionResult:
+    """Outcome of one completed real-socket session."""
+
+    session_id: bytes
+    payload: bytes
+    digest_ok: Optional[bool]
+    route_len: int
+    rebinds: int = 0
 
 
 class _LiveAsyncSession:
@@ -70,10 +79,10 @@ class _LiveAsyncSession:
 class AsyncLslServer(AsyncLoopService):
     """Accepts LSL sessions on one event loop; verifies digests.
 
-    Public surface mirrors :class:`~repro.sockets.server.ThreadedLslServer`
-    (``results``, ``errors``, ``wait_for_sessions``, ``expose``,
-    context-manager lifecycle) so callers can switch drivers without
-    touching their code.
+    Completed sessions land in ``results`` (and ``on_session``),
+    refused or broken ones in ``errors``. A finished session keeps only
+    its closed registry record, so a reused session id is still
+    rejected; its receiver and payload are released.
     """
 
     _thread_prefix = "alsl-srv"
@@ -114,8 +123,7 @@ class AsyncLslServer(AsyncLoopService):
         task.add_done_callback(self._sessions.discard)
 
     async def _sweep_loop(self) -> None:
-        """Expire suspended sessions that never rebound (single-loop
-        twin of the threaded server's sweeper thread)."""
+        """Expire suspended sessions that never rebound."""
         ttl = self._session_ttl
         assert ttl is not None
         while True:
@@ -140,7 +148,7 @@ class AsyncLslServer(AsyncLoopService):
     async def _handle(self, sock: socket.socket) -> None:
         task = asyncio.current_task()
         try:
-            header, surplus = await read_header(self._loop, sock)
+            header, surplus = await header_phase(read_header(self._loop, sock))
             live, reply = self._attach(sock, task, header)
             if reply:
                 await self._loop.sock_sendall(sock, reply)
@@ -212,9 +220,9 @@ class AsyncLslServer(AsyncLoopService):
         granted: Optional[int] = None,
     ) -> None:
         """Open a ``server.session`` span for this sublink attachment
-        (same semantics as the threaded server: a rebind closes the old
-        span as ``rebound``, emits ``server.resume-grant``, and opens a
-        fresh span parented to the new sublink's trace context)."""
+        (a rebind closes the old span as ``rebound``, emits
+        ``server.resume-grant``, and opens a fresh span parented to the
+        new sublink's trace context)."""
         tracer = self._tracer
         if tracer is None or header.trace is None:
             return
@@ -295,7 +303,7 @@ class AsyncLslServer(AsyncLoopService):
                 await self._finalize(live, event.digest_ok)
                 return True
             elif isinstance(event, Failed):
-                self.registry.close(live.receiver.session_id)
+                self._close_record(live)
                 raise event.error
         return live.receiver.finished
 
@@ -306,6 +314,22 @@ class AsyncLslServer(AsyncLoopService):
             record.last_active = time.monotonic()
         self._end_span(live, "suspended")
 
+    def _close_record(self, live: _LiveAsyncSession):
+        """Close the session's record and release its receiver state.
+
+        The record stays (it rejects a reused session id); the
+        attachment goes, so a finished session's payload is not held
+        for the server's lifetime.
+        """
+        session_id = live.receiver.session_id
+        self.registry.close(session_id)
+        record = self.registry.get(session_id)
+        if record is not None:
+            record.bytes_received = live.receiver.payload_received
+            record.last_active = time.monotonic()
+            record.attachment = None
+        return record
+
     async def _finalize(
         self, live: _LiveAsyncSession, digest_ok: Optional[bool]
     ) -> None:
@@ -313,14 +337,8 @@ class AsyncLslServer(AsyncLoopService):
         self._end_span(
             live, "ok" if digest_ok in (None, True) else "digest-failed"
         )
-        self.registry.close(session_id)
-        record = self.registry.get(session_id)
-        if record is not None:
-            record.bytes_received = live.receiver.payload_received
-            record.last_active = time.monotonic()
+        record = self._close_record(live)
         header = live.receiver.header
-        if live.sock is not None and self.reply is not None:
-            await self._loop.sock_sendall(live.sock, self.reply)
         result = SessionResult(
             session_id=session_id,
             payload=b"".join(live.chunks),
@@ -328,6 +346,9 @@ class AsyncLslServer(AsyncLoopService):
             route_len=len(header.route),
             rebinds=record.rebinds if record is not None else 0,
         )
+        live.chunks.clear()
+        if live.sock is not None and self.reply is not None:
+            await self._loop.sock_sendall(live.sock, self.reply)
         with self._lock:
             self.results.append(result)
         if self.on_session is not None:
@@ -337,7 +358,7 @@ class AsyncLslServer(AsyncLoopService):
 
     def expose(self, host: str = "127.0.0.1", port: int = 0, event_log=None):
         """Serve ``/metrics`` + ``/healthz`` (+ ``/events``)."""
-        from repro.sockets.obs import ExpositionServer, depot_families
+        from repro.telemetry.obs import ExpositionServer, depot_families
 
         def collect():
             with self._lock:
@@ -352,7 +373,6 @@ class AsyncLslServer(AsyncLoopService):
             return {
                 "status": "ok",
                 "server": f"{self.address[0]}:{self.address[1]}",
-                "driver": "asyncio",
             }
 
         return ExpositionServer(

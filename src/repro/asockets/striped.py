@@ -1,14 +1,18 @@
 """Striped multipath LSL over asyncio sockets.
 
-The asyncio twin of :mod:`repro.sockets.striped`: the same
-:class:`~repro.lsl.core.StripeScheduler` /
-:class:`~repro.lsl.core.StripeAssembler` machines, driven by one task
-per sublink on one event loop. Because every task runs on that loop,
-the threaded driver's scheduler/assembler locks disappear — between
-two awaits nothing else can touch the shared machine — and the demand
-pacing falls out of ``sock_sendall``: a task awaiting a slow path's
-send buffer simply yields the loop to the sublinks that can still
-make progress.
+The :class:`~repro.lsl.core.StripeScheduler` /
+:class:`~repro.lsl.core.StripeAssembler` machines that power the
+simulator's striped sessions (:mod:`repro.lsl.core.striping`), driven
+by one task per sublink on one event loop. Because every task runs on
+that loop, the shared machines need no locks — between two awaits
+nothing else can touch them — and the demand pacing falls out of
+``sock_sendall``: a task awaiting a slow path's send buffer simply
+yields the loop to the sublinks that can still make progress.
+
+A sublink that dies (depot crash, connection reset) degrades the
+transfer: its uncovered stripes are re-dealt to the survivors, and
+under ``duplicate-k`` redundancy the survivors already carry full
+coverage — the session completes with zero resume round-trips.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ import random
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import asyncio
 
@@ -25,26 +32,55 @@ from repro.lsl.core import (
     Completed,
     Deliver,
     Failed,
+    LslError,
+    LslHeader,
+    ProtocolError,
     ProtocolObserver,
     Redundancy,
+    RouteError,
+    RouteHop,
     StripeAssembler,
     StripeScheduler,
+    TraceContext,
+    new_session_id,
     parse_redundancy,
 )
-from repro.lsl.core import TraceContext
 from repro.lsl.core.striping import DEFAULT_STRIPE
-from repro.lsl.errors import LslError, ProtocolError
-from repro.lsl.header import LslHeader
-from repro.lsl.session import new_session_id
 from repro.telemetry.tracing import TraceSpool, new_trace_id
+from repro.asockets import wire
 from repro.asockets.runtime import AsyncLoopService
-from repro.asockets.wire import read_header
-from repro.sockets.striped import (
-    StripedResult,
-    StripedSendReport,
-    _normalize_routes,
-)
-from repro.sockets.wire import CHUNK
+from repro.asockets.wire import CHUNK, header_phase, read_header
+
+
+@dataclass
+class StripedResult:
+    """Outcome of one completed striped session (server side)."""
+
+    session_id: bytes
+    payload: bytes
+    digest_ok: Optional[bool]
+    sublinks: int
+    duplicate_bytes: int
+    reconstructed_blocks: int
+
+
+@dataclass
+class StripedSendReport:
+    """Outcome of a striped send (client side)."""
+
+    session_id: bytes
+    per_sublink_bytes: List[int]
+    redundant_stripes: int
+    redeals: int
+    sublink_errors: List[Exception] = field(default_factory=list)
+
+
+def _normalize_routes(
+    routes: Sequence[Sequence[Tuple[str, int]]],
+) -> List[Tuple[RouteHop, ...]]:
+    if not routes:
+        raise RouteError("need at least one route")
+    return [tuple(RouteHop(h, p) for h, p in route) for route in routes]
 
 
 async def send_striped(
@@ -64,10 +100,8 @@ async def send_striped(
 ) -> StripedSendReport:
     """Send ``payload`` striped across ``routes`` (one task each).
 
-    Same contract as the threaded
-    :func:`repro.sockets.striped.send_striped`: raises
-    :class:`LslError` only when no surviving sublink can complete
-    coverage; individual failures degrade and land in
+    Raises :class:`LslError` only when no surviving sublink can
+    complete coverage; individual failures degrade and land in
     ``sublink_errors``. With ``tracer`` set, the whole send is one
     ``client.session`` span and each sublink header carries the trace
     context parented to its ``client.dial`` span.
@@ -201,7 +235,10 @@ async def send_striped(
 class _AsyncStripedSession:
     """Loop-confined shared state for one striped session."""
 
-    __slots__ = ("header", "assembler", "chunks", "sublinks", "span")
+    __slots__ = (
+        "header", "assembler", "chunks", "sublinks", "open", "span",
+        "drop_timer",
+    )
 
     def __init__(
         self, header: LslHeader, observer: Optional[ProtocolObserver]
@@ -215,7 +252,9 @@ class _AsyncStripedSession:
             session=header.short_id,
         )
         self.chunks: List[bytes] = []
-        self.sublinks = 0
+        self.sublinks = 0  # sublinks ever attached
+        self.open = 0  # sublinks attached right now
+        self.drop_timer: Optional[asyncio.TimerHandle] = None
 
 
 class AsyncStripedServer(AsyncLoopService):
@@ -223,9 +262,17 @@ class AsyncStripedServer(AsyncLoopService):
 
     Sublinks carrying the same session id feed one shared
     :class:`~repro.lsl.core.StripeAssembler`; no per-session lock is
-    needed because every sublink task runs on the loop. Public surface
-    (``results``, ``errors``, ``wait_for_sessions``, context manager)
-    mirrors :class:`~repro.sockets.striped.StripedThreadedServer`.
+    needed because every sublink task runs on the loop. Completed
+    sessions land in ``results`` (and ``on_session``), failures in
+    ``errors``.
+
+    A session leaves the session map as soon as it completes or fails;
+    only its id is kept, so a late redundant sublink is drained instead
+    of opening a second session. A session whose every sublink closed
+    before it completed is dropped (and counted in ``errors``) unless
+    another sublink attaches within
+    :data:`~repro.asockets.wire.HEADER_TIMEOUT_S` — sublinks through
+    depots may arrive after a direct one already finished its share.
     """
 
     _thread_prefix = "alsl-striped"
@@ -245,6 +292,7 @@ class AsyncStripedServer(AsyncLoopService):
         self.results: List[StripedResult] = []
         self.errors: List[Exception] = []
         self._striped: Dict[bytes, _AsyncStripedSession] = {}
+        self._finished: Set[bytes] = set()
         self._lock = threading.Lock()  # results/errors cross-thread reads
         super().__init__(host, port, drain_timeout=drain_timeout)
 
@@ -253,46 +301,38 @@ class AsyncStripedServer(AsyncLoopService):
         session: Optional[_AsyncStripedSession] = None
         key = ""
         try:
-            header, surplus = await read_header(loop, sock)
+            header, surplus = await header_phase(read_header(loop, sock))
             if not header.is_last_hop or not header.framed:
                 raise ProtocolError(
                     "unframed or mis-routed striped sublink"
                 )
-            session = self._striped.get(header.session_id)
-            if session is None:
-                session = _AsyncStripedSession(header, self._observer)
-                if self._tracer is not None and header.trace is not None:
-                    session.span = self._tracer.begin(
-                        "server.session",
-                        header.trace.trace_id,
-                        header.trace.parent_span,
-                        session=header.short_id,
-                        striped=True,
-                        hop=header.trace.hop,
-                    )
-                self._striped[header.session_id] = session
-            elif session.header.payload_length != header.payload_length:
-                raise ProtocolError("sublink disagrees on payload length")
+            if header.session_id in self._finished:
+                # a redundant copy arriving after completion
+                await self._discard(sock)
+                return
+            session = self._attach(header)
             key = f"sub{session.sublinks}"
             session.sublinks += 1
+            session.open += 1
             session.assembler.attach(key)
             if surplus:
                 self._feed(session, key, surplus)
             while True:
+                if session.assembler.finished:
+                    if session.assembler.failed is None:
+                        # completed: drain to EOF instead of closing
+                        # with unread redundant copies in the buffer —
+                        # that close would RST a peer still mid-send,
+                        # and the sender would count a healthy sublink
+                        # as lost
+                        await self._discard(sock)
+                    break
                 try:
                     data = await loop.sock_recv(sock, CHUNK)
                 except OSError:
                     break  # a dead sublink degrades, it doesn't fail
                 if not data:
                     break
-                if session.assembler.finished:
-                    if session.assembler.failed is not None:
-                        break
-                    # completed: drain to EOF instead of closing with
-                    # unread redundant copies in the buffer — that
-                    # close would RST a peer still mid-send, and the
-                    # sender would count a healthy sublink as lost
-                    continue
                 self._feed(session, key, data)
         except asyncio.CancelledError:
             raise
@@ -302,16 +342,81 @@ class AsyncStripedServer(AsyncLoopService):
         finally:
             if session is not None and key:
                 session.assembler.sublink_closed(key)
+                self._sublink_closed(session)
             try:
                 sock.close()
             except OSError:
                 pass
 
+    def _attach(self, header: LslHeader) -> _AsyncStripedSession:
+        session = self._striped.get(header.session_id)
+        if session is None:
+            session = _AsyncStripedSession(header, self._observer)
+            if self._tracer is not None and header.trace is not None:
+                session.span = self._tracer.begin(
+                    "server.session",
+                    header.trace.trace_id,
+                    header.trace.parent_span,
+                    session=header.short_id,
+                    striped=True,
+                    hop=header.trace.hop,
+                )
+            self._striped[header.session_id] = session
+        elif session.header.payload_length != header.payload_length:
+            raise ProtocolError("sublink disagrees on payload length")
+        if session.drop_timer is not None:
+            session.drop_timer.cancel()
+            session.drop_timer = None
+        return session
+
+    def _sublink_closed(self, session: _AsyncStripedSession) -> None:
+        session.open -= 1
+        if session.open == 0 and not session.assembler.finished:
+            session.drop_timer = self._loop.call_later(
+                wire.HEADER_TIMEOUT_S, self._drop_abandoned, session
+            )
+
+    def _drop_abandoned(self, session: _AsyncStripedSession) -> None:
+        session.drop_timer = None
+        if session.open or session.assembler.finished:
+            return
+        error = ProtocolError(
+            "striped session abandoned: every sublink closed before "
+            "completion"
+        )
+        self._end(session, "error", error)
+
+    def _end(
+        self,
+        session: _AsyncStripedSession,
+        status: str,
+        error: Optional[Exception] = None,
+        **attrs: object,
+    ) -> None:
+        """Retire a finished session: forget it, keep only its id."""
+        session_id = session.header.session_id
+        self._striped.pop(session_id, None)
+        self._finished.add(session_id)
+        session.chunks = []
+        if self._tracer is not None and session.span:
+            self._tracer.end(session.span, status=status, **attrs)
+            session.span = 0
+        if error is not None:
+            with self._lock:
+                self.errors.append(error)
+
+    async def _discard(self, sock: socket.socket) -> None:
+        """Read ``sock`` to EOF, discarding everything."""
+        buf = bytearray(CHUNK)
+        try:
+            while await self._loop.sock_recv_into(sock, buf):
+                pass
+        except OSError:
+            pass
+
     def _feed(
         self, session: _AsyncStripedSession, key: str, data: bytes
     ) -> None:
-        if session.assembler.finished:
-            return
         for event in session.assembler.feed_bytes(key, data):
             if isinstance(event, Deliver):
                 assert event.chunk.data is not None
@@ -327,23 +432,17 @@ class AsyncStripedServer(AsyncLoopService):
                         session.assembler.reconstructed_blocks
                     ),
                 )
-                if self._tracer is not None and session.span:
-                    self._tracer.end(
-                        session.span, status="ok",
-                        bytes_received=len(result.payload),
-                        sublinks=result.sublinks,
-                    )
-                    session.span = 0
+                self._end(
+                    session, "ok",
+                    bytes_received=len(result.payload),
+                    sublinks=result.sublinks,
+                )
                 with self._lock:
                     self.results.append(result)
                 if self.on_session is not None:
                     self.on_session(result)
             elif isinstance(event, Failed):
-                if self._tracer is not None and session.span:
-                    self._tracer.end(session.span, status="error")
-                    session.span = 0
-                with self._lock:
-                    self.errors.append(event.error)
+                self._end(session, "error", event.error)
 
     def wait_for_sessions(self, count: int, timeout: float = 30.0) -> bool:
         """Block (caller thread) until ``count`` sessions finished."""

@@ -1,9 +1,8 @@
-"""Buffered async wire helpers (the asyncio twin of ``sockets/wire``).
+"""Buffered async wire helpers.
 
-Same contract as the blocking helpers: feed
-:class:`~repro.lsl.core.HeaderAccumulator` from hint-sized buffered
-reads — typically one ``recv`` for the whole header — and hand any
-over-read payload back as ``surplus`` for the next machine in line.
+Feed :class:`~repro.lsl.core.HeaderAccumulator` from hint-sized
+buffered reads — typically one ``recv`` for the whole header — and hand
+any over-read payload back as ``surplus`` for the next machine in line.
 Everything operates on plain non-blocking sockets through the event
 loop's ``sock_*`` methods; no streams/protocols layer sits between the
 wire and the sans-I/O core.
@@ -13,16 +12,57 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Tuple
+from typing import Awaitable, Tuple, TypeVar
 
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import HeaderAccumulator, LslHeader
-from repro.sockets.wire import CHUNK
+from repro.lsl.core import HeaderAccumulator, LslHeader, ProtocolError
+
+T = TypeVar("T")
+
+#: Relay copy chunk (matches a typical socket buffer read).
+CHUNK = 64 * 1024
 
 #: Minimum per-read request while header bytes are outstanding (the
 #: accumulator's ``hint`` is a lower bound; overshoot comes back as
-#: surplus) — mirrors ``sockets/wire._HEADER_READAHEAD``.
+#: surplus), so the variable-length route section arrives in one read
+#: instead of one recv per hop.
 HEADER_READAHEAD = 4096
+
+#: Longest an accepted sublink may take to deliver its complete LSL
+#: header. A peer that connects and stays silent, or stalls mid-header,
+#: is closed and its session counted as failed instead of holding a
+#: task and a socket forever. Established sessions carry no deadline.
+HEADER_TIMEOUT_S = 30.0
+
+
+async def header_phase(read: Awaitable[T]) -> T:
+    """Await a header-phase read under :data:`HEADER_TIMEOUT_S`.
+
+    Runs ``read`` in the calling task and cancels that task when the
+    deadline passes — a timer per session, not the extra task per
+    session ``asyncio.wait_for`` would cost.
+    """
+    task = asyncio.current_task()
+    assert task is not None
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(HEADER_TIMEOUT_S, expire)
+    try:
+        return await read
+    except asyncio.CancelledError:
+        if not expired:
+            raise  # shutdown, or a rebind displacing this sublink
+        if hasattr(task, "uncancel"):  # Python 3.11+
+            task.uncancel()
+        raise ProtocolError(
+            f"no complete LSL header within {HEADER_TIMEOUT_S:g} s"
+        ) from None
+    finally:
+        timer.cancel()
 
 
 async def read_exact(

@@ -15,10 +15,9 @@ package externalizes that state:
   tests and CI;
 * :mod:`repro.cluster.acceptor` — store-backed accept/rebind/restart
   decisions with owner-epoch compare-and-swap takeover;
-* :mod:`repro.cluster.node` / :mod:`repro.cluster.anode` — depot
-  workers (threaded and asyncio) that relay intermediate-hop sessions
-  like ``lsd`` and *terminate* last-hop sessions against the store, so
-  any worker can resume any session;
+* :mod:`repro.cluster.anode` — the depot worker: relays
+  intermediate-hop sessions like ``lsd`` and *terminates* last-hop
+  sessions against the store, so any worker can resume any session;
 * :mod:`repro.cluster.pool` — the ``--workers N`` launcher: in-process
   :class:`LocalCluster` for the memory store, subprocess
   :class:`WorkerPool` (SO_REUSEPORT or inherited-FD listener sharing)
@@ -42,7 +41,6 @@ from repro.cluster.acceptor import (
     StoreRestart,
     StoreSessionAcceptor,
 )
-from repro.cluster.node import ClusterNode
 from repro.cluster.anode import AsyncClusterNode
 from repro.cluster.pool import LocalCluster, WorkerPool
 
@@ -58,7 +56,6 @@ __all__ = [
     "StoreAcceptNew",
     "StoreAcceptResume",
     "StoreRestart",
-    "ClusterNode",
     "AsyncClusterNode",
     "LocalCluster",
     "WorkerPool",

@@ -1,17 +1,26 @@
 """Asyncio depot worker with store-backed terminal sessions.
 
-The event-loop twin of :class:`~repro.cluster.node.ClusterNode`:
-intermediate-hop sublinks relay through the base
-:class:`~repro.asockets.depot.AsyncDepot` machinery; last-hop sublinks
-terminate against the shared session store via the same
-:class:`~repro.cluster.node._TerminalSession` bookkeeping the threaded
-worker uses, so the two drivers cannot drift on resume or checkpoint
-semantics.
+``lsd`` proper is a stateless relay: header in, next hop dialed, pumps
+until EOF. An :class:`AsyncClusterNode` does exactly that for
+intermediate-hop sublinks (through the base
+:class:`~repro.asockets.depot.AsyncDepot` machinery) — but when the
+header addresses *it* as the final hop, it terminates the session the
+way an LSL server would (receiver state, negotiated resume, end-to-end
+MD5), with one difference that makes the cluster work: the durable
+half of the session lives in the shared
+:class:`~repro.cluster.store.SessionStore`, not in this process.
 
-Store operations are short blocking calls executed in-loop (see the
-:mod:`repro.cluster.node` docstring); checkpoint batching keeps them
-off the per-read path. ``--workers N --driver asyncio`` gives N loops
-behind one port — the multi-core story asyncio alone lacks.
+Received payload is checkpointed to the store's spool every
+``checkpoint_bytes`` (and fully on suspend), so after this worker is
+SIGKILLed a rebind landing on *any* worker can grant the spooled
+length and rebuild the receiver — running MD5 included — by re-feeding
+the spool. The digest is never serialized; the spooled bytes are its
+only portable representation.
+
+Store operations are short blocking calls executed in-loop;
+checkpoint batching keeps them off the per-read path. ``lsd --workers
+N`` gives N loops behind one port — the multi-core story one event
+loop alone lacks.
 """
 
 from __future__ import annotations
@@ -20,27 +29,253 @@ import asyncio
 import socket
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from repro.lsl.core import (
     Chunk,
+    Completed,
+    Deliver,
+    EOF_COMPLETE,
+    EOF_SUSPEND,
+    Failed,
+    FramedReceiver,
+    LslHeader,
+    PayloadReceiver,
+    ProtocolError,
     ProtocolObserver,
     RejectSession,
     RelayCore,
     RelayReject,
 )
 from repro.lsl.core.events import emit
-from repro.lsl.core.wire import LslHeader
 from repro.asockets.depot import AsyncDepot
-from repro.asockets.wire import read_header
+from repro.asockets.server import SessionResult
+from repro.asockets.wire import CHUNK, header_phase, read_header
 from repro.cluster.acceptor import (
     StoreAcceptResume,
+    StoreDecision,
     StoreSessionAcceptor,
 )
-from repro.cluster.node import DEFAULT_CHECKPOINT_BYTES, _TerminalSession
 from repro.cluster.store import SessionStore
-from repro.sockets.server import SessionResult
-from repro.sockets.wire import CHUNK
+from repro.telemetry.tracing import TraceSpool
+
+#: Spool checkpoint granularity: how much received payload a worker
+#: may hold un-checkpointed. Smaller = finer resume offsets after a
+#: crash but more store round-trips; 256 KiB keeps the store off the
+#: per-read hot path while bounding client re-send after failover.
+DEFAULT_CHECKPOINT_BYTES = 256 * 1024
+
+
+class _TerminalSession:
+    """Everything about one store-backed terminal session but the
+    socket reads: receiver state, spool checkpoints, completion, and
+    the ``server.session`` / ``store.cas`` trace spans."""
+
+    def __init__(
+        self,
+        store: SessionStore,
+        worker: str,
+        header: LslHeader,
+        decision: StoreDecision,
+        observer: Optional[ProtocolObserver],
+        checkpoint_bytes: int,
+        tracer: Optional[TraceSpool] = None,
+    ) -> None:
+        self.store = store
+        self.worker = worker
+        self.header = header
+        self.session_id = header.session_id
+        self.epoch = decision.record.epoch
+        self.reply = decision.reply
+        self.checkpoint_bytes = checkpoint_bytes
+        self.takeover = (
+            isinstance(decision, StoreAcceptResume) and decision.takeover
+        )
+        self.tracer = tracer if header.trace is not None else None
+        self.span = 0
+        if self.tracer is not None:
+            tctx = header.trace
+            assert tctx is not None
+            self.span = self.tracer.begin(
+                "server.session",
+                tctx.trace_id,
+                tctx.parent_span,
+                session=header.short_id,
+                worker=worker,
+                rebind=header.rebind,
+                hop=tctx.hop,
+            )
+            if isinstance(decision, StoreAcceptResume):
+                self.tracer.instant(
+                    "server.resume-grant", tctx.trace_id, self.span,
+                    granted=decision.prefix_length,
+                    takeover=decision.takeover,
+                )
+        receiver: Union[PayloadReceiver, FramedReceiver]
+        if header.framed:
+            receiver = FramedReceiver(header, observer)
+        else:
+            receiver = PayloadReceiver(header, observer)
+        self.receiver = receiver
+        self.chunks: List[bytes] = []
+        self.pending = bytearray()
+        self.digest_ok: Optional[bool] = None
+        self.completed = False
+        self.ownership_lost = False
+        if isinstance(decision, StoreAcceptResume) and decision.prefix_length:
+            self._prime(store.payload(self.session_id))
+
+    def _prime(self, prefix: bytes) -> None:
+        """Rebuild receiver state (offset + MD5) from the spool.
+
+        Framed sessions prime the *inner* payload receiver directly:
+        the spool holds decoded payload, not frames, and the new
+        sublink starts a fresh frame stream at the granted offset.
+        """
+        inner = (
+            self.receiver.inner
+            if isinstance(self.receiver, FramedReceiver)
+            else self.receiver
+        )
+        for event in inner.feed([Chunk.real(prefix)]):
+            if isinstance(event, Deliver):
+                assert event.chunk.data is not None
+                self.chunks.append(event.chunk.data)
+
+    @property
+    def finished(self) -> bool:
+        return self.receiver.finished or self.ownership_lost
+
+    # -- live bytes --------------------------------------------------------
+
+    def ingest(self, data: bytes) -> None:
+        """Feed sublink bytes; checkpoints and completes as it goes.
+
+        Raises the receiver's error on protocol/digest failure (the
+        store record is closed first so the id cannot be resumed).
+        """
+        for event in self.receiver.feed([Chunk.real(data)]):
+            if isinstance(event, Deliver):
+                if event.chunk.data is None:
+                    raise ProtocolError("virtual bytes over a real socket")
+                self.chunks.append(event.chunk.data)
+                self.pending.extend(event.chunk.data)
+            elif isinstance(event, Completed):
+                self._complete(event.digest_ok)
+            elif isinstance(event, Failed):
+                self.store.finish(
+                    self.session_id, self.worker, self.epoch, time.time()
+                )
+                raise event.error
+        if (
+            not self.receiver.finished
+            and len(self.pending) >= self.checkpoint_bytes
+        ):
+            self.flush()
+
+    def flush(self) -> bool:
+        """Checkpoint pending payload; False when ownership was lost."""
+        if self.ownership_lost:
+            return False
+        if not self.pending:
+            return True
+        cas_span = self._begin_cas("append", bytes=len(self.pending))
+        total = self.store.append_payload(
+            self.session_id,
+            self.worker,
+            self.epoch,
+            bytes(self.pending),
+            time.time(),
+        )
+        self.pending.clear()
+        if total is None:
+            # a takeover claimed the session away from us: abandon the
+            # sublink; the new owner serves the session from the spool
+            self._end_cas(cas_span, "lost")
+            self.ownership_lost = True
+            return False
+        self._end_cas(cas_span, "ok")
+        return True
+
+    def on_eof(self) -> str:
+        """Classify a clean FIN; returns the session status."""
+        disposition = self.receiver.feed_eof()
+        if disposition == EOF_SUSPEND:
+            # park the session in the store for a rebind — on this
+            # worker or any other
+            if not self.flush():
+                return "suspended"
+            self.store.touch(
+                self.session_id, self.worker, self.epoch, time.time()
+            )
+            return "suspended"
+        if disposition == EOF_COMPLETE:
+            # stream-until-FIN: EOF is the completion signal
+            self._complete(self.receiver.digest_ok)
+        return "completed" if self.completed else "failed"
+
+    def _complete(self, digest_ok: Optional[bool]) -> None:
+        cas_span = self._begin_cas("finish")
+        if not self.store.finish(
+            self.session_id, self.worker, self.epoch, time.time()
+        ):
+            self._end_cas(cas_span, "lost")
+            self.ownership_lost = True
+            return
+        self._end_cas(cas_span, "ok")
+        self.digest_ok = digest_ok
+        self.completed = True
+
+    # -- tracing -----------------------------------------------------------
+
+    def _begin_cas(self, op: str, **attrs: object) -> int:
+        """Open a ``store.cas`` span around an owner-epoch store call."""
+        if self.tracer is None:
+            return 0
+        assert self.header.trace is not None
+        return self.tracer.begin(
+            "store.cas", self.header.trace.trace_id, self.span,
+            op=op, **attrs,
+        )
+
+    def _end_cas(self, cas_span: int, status: str) -> None:
+        if cas_span and self.tracer is not None:
+            self.tracer.end(cas_span, status=status)
+
+    def finish_trace(self, status: str) -> None:
+        """Close the ``server.session`` span with the node's final
+        session status (``completed`` / ``suspended`` / anything else =
+        error); safe to call untraced or twice."""
+        if self.tracer is None or not self.span:
+            return
+        assert self.header.trace is not None
+        trace_id = self.header.trace.trace_id
+        received = self.receiver.payload_received
+        if status == "completed":
+            trace_status = (
+                "ok" if self.digest_ok in (None, True) else "digest-failed"
+            )
+        elif status == "suspended":
+            self.tracer.instant(
+                "server.suspend", trace_id, self.span,
+                bytes_received=received,
+            )
+            trace_status = "suspended"
+        else:
+            trace_status = "error"
+        self.tracer.end(
+            self.span, status=trace_status, bytes_received=received,
+        )
+        self.span = 0
+
+    def result(self, rebinds: int) -> SessionResult:
+        return SessionResult(
+            session_id=self.session_id,
+            payload=b"".join(self.chunks),
+            digest_ok=self.digest_ok,
+            route_len=len(self.header.route),
+            rebinds=rebinds,
+        )
 
 
 class AsyncClusterNode(AsyncDepot):
@@ -126,7 +361,9 @@ class AsyncClusterNode(AsyncDepot):
         status = "failed"
         short_id = ""
         try:
-            header, surplus = await read_header(self._loop, upstream)
+            header, surplus = await header_phase(
+                read_header(self._loop, upstream)
+            )
             short_id = header.short_id
             if header.is_last_hop:
                 status = await self._terminal(upstream, header, surplus)

@@ -1,6 +1,6 @@
 """Aggregated ``/metrics`` + ``/healthz`` for a whole worker fleet.
 
-Each worker publishes its :class:`~repro.sockets.lsd.DepotCounters`
+Each worker publishes its :class:`~repro.asockets.depot.DepotCounters`
 snapshot into the session store (``publish_counters``); the cluster
 launcher scrapes them back out here and serves one endpoint for the
 fleet: every counter becomes a family with one ``worker``-labeled
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.sockets.obs import ExpositionServer, JsonEventLog
+from repro.telemetry.obs import ExpositionServer, JsonEventLog
 from repro.telemetry.exposition import MetricFamily
 from repro.telemetry.tracing import TraceSpool
 

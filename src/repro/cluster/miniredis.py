@@ -25,7 +25,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.sockets.lsd import make_listener
+from repro.asockets.runtime import make_listener
 
 _WRONG_ARGS = b"-ERR wrong number of arguments\r\n"
 

@@ -15,8 +15,8 @@ Two ways to put N workers behind one ``(host, port)``:
   one accepter per connection. The fallback for platforms without
   ``SO_REUSEPORT``.
 
-:class:`LocalCluster` runs the workers inside this process (threads or
-private event loops) sharing a store object directly — the only way a
+:class:`LocalCluster` runs the workers inside this process (one
+private event loop each) sharing a store object directly — the only way a
 ``memory`` store can back more than one worker. :class:`WorkerPool`
 spawns real subprocesses via ``python -m repro.cluster.worker``, which
 is the deployment shape (and what the SIGKILL failover tests need);
@@ -34,11 +34,11 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.asockets.runtime import make_listener
+from repro.cluster.anode import DEFAULT_CHECKPOINT_BYTES, AsyncClusterNode
 from repro.cluster.exposition import expose_cluster
-from repro.cluster.node import DEFAULT_CHECKPOINT_BYTES, ClusterNode
 from repro.cluster.store import InMemoryStore, SessionStore, open_store
-from repro.sockets.lsd import make_listener
-from repro.sockets.obs import ExpositionServer
+from repro.telemetry.obs import ExpositionServer
 from repro.telemetry.tracing import TraceSpool
 
 
@@ -61,7 +61,9 @@ class LocalCluster:
         port: int = 0,
         *,
         store: Optional[SessionStore] = None,
-        driver: str = "threads",
+        # asyncio is the only node driver; the keyword stays so
+        # existing callers that name it explicitly keep working
+        driver: str = "asyncio",
         observer=None,
         strategy: str = "auto",
         session_ttl: Optional[float] = None,
@@ -71,9 +73,10 @@ class LocalCluster:
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
+        if driver != "asyncio":
+            raise ValueError(f"unknown driver {driver!r} (only 'asyncio')")
         self.store = store if store is not None else InMemoryStore()
         self.strategy = pick_strategy(strategy)
-        self._driver = driver
         self._observer = observer
         self._session_ttl = session_ttl
         self._checkpoint_bytes = checkpoint_bytes
@@ -94,7 +97,7 @@ class LocalCluster:
         else:
             self._shared = make_listener(host, port)
             self.address = self._shared.getsockname()
-        self.nodes: List[object] = []
+        self.nodes: List[AsyncClusterNode] = []
         for i in range(workers):
             self.nodes.append(self._make_node(i))
 
@@ -124,17 +127,7 @@ class LocalCluster:
             # a dup'd fd of the shared socket: accept competes on the
             # same queue, but closing one worker's fd leaves the rest
             listener = socket.socket(fileno=os.dup(self._shared.fileno()))
-        if self._driver == "asyncio":
-            from repro.cluster.anode import AsyncClusterNode
-
-            return AsyncClusterNode(
-                self.address[0],
-                self.address[1],
-                reuse_port=reuse_port,
-                listener=listener,
-                **kwargs,
-            )
-        return ClusterNode(
+        return AsyncClusterNode(
             self.address[0],
             self.address[1],
             reuse_port=reuse_port,
@@ -146,11 +139,7 @@ class LocalCluster:
 
     def kill(self, index: int) -> None:
         """Crash one worker: abort its sessions, leave the rest serving."""
-        node = self.nodes[index]
-        if isinstance(node, ClusterNode):
-            node.shutdown(abort_sessions=True)
-        else:
-            node.shutdown(drain=False)
+        self.nodes[index].shutdown(drain=False)
 
     def publish_counters(self) -> None:
         for node in self.nodes:
@@ -187,7 +176,6 @@ class LocalCluster:
             store_sessions=self.store.live_sessions,
             health_extra=lambda: {
                 "cluster": f"{self.address[0]}:{self.address[1]}",
-                "driver": self._driver,
                 "strategy": self.strategy,
                 "store": type(self.store).__name__,
             },
@@ -247,7 +235,6 @@ class WorkerPool:
         port: int = 0,
         *,
         store_spec: str,
-        driver: str = "threads",
         strategy: str = "auto",
         session_ttl: Optional[float] = None,
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
@@ -266,7 +253,6 @@ class WorkerPool:
         self.store_spec = store_spec
         self.store = open_store(store_spec)
         self.strategy = pick_strategy(strategy)
-        self._driver = driver
         self._session_ttl = session_ttl
         self._checkpoint_bytes = checkpoint_bytes
         self._publish_interval = publish_interval
@@ -311,7 +297,6 @@ class WorkerPool:
             "--port", str(self.address[1]),
             "--store", self.store_spec,
             "--worker-id", worker_id,
-            "--driver", self._driver,
             "--publish-interval", str(self._publish_interval),
             "--checkpoint-bytes", str(self._checkpoint_bytes),
         ]
@@ -398,7 +383,6 @@ class WorkerPool:
             store_sessions=self.store.live_sessions,
             health_extra=lambda: {
                 "cluster": f"{self.address[0]}:{self.address[1]}",
-                "driver": self._driver,
                 "strategy": self.strategy,
                 "store": self.store_spec,
             },

@@ -1,8 +1,8 @@
 """One depot worker process: ``python -m repro.cluster.worker``.
 
 Spawned by :class:`~repro.cluster.pool.WorkerPool`, but runnable by
-hand against any shared store — a worker is just a
-:class:`~repro.cluster.node.ClusterNode` (or its asyncio twin) plus a
+hand against any shared store — a worker is just an
+:class:`~repro.cluster.anode.AsyncClusterNode` plus a
 counter-publishing heartbeat. The listener arrives one of two ways:
 
 * ``--reuse-port`` — bind our own ``SO_REUSEPORT`` listener on the
@@ -26,7 +26,7 @@ import sys
 import threading
 from typing import Optional
 
-from repro.cluster.node import DEFAULT_CHECKPOINT_BYTES
+from repro.cluster.anode import DEFAULT_CHECKPOINT_BYTES, AsyncClusterNode
 from repro.cluster.store import open_store
 
 
@@ -54,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="session store spec: memory | file:DIR | redis://host:port",
     )
     parser.add_argument("--worker-id", default="w0")
-    parser.add_argument(
-        "--driver", choices=("threads", "asyncio"), default="threads"
-    )
     parser.add_argument("--session-ttl", type=float, default=None)
     parser.add_argument(
         "--checkpoint-bytes", type=int, default=DEFAULT_CHECKPOINT_BYTES
@@ -100,7 +97,9 @@ def main(argv: Optional[list] = None) -> int:
             service=f"worker:{args.worker_id}",
             path=os.path.join(args.trace_dir, f"spans-{args.worker_id}.jsonl"),
         )
-    kwargs = dict(
+    node = AsyncClusterNode(
+        args.host,
+        args.port,
         store=store,
         worker=args.worker_id,
         session_ttl=args.session_ttl,
@@ -109,14 +108,6 @@ def main(argv: Optional[list] = None) -> int:
         listener=listener,
         tracer=tracer,
     )
-    if args.driver == "asyncio":
-        from repro.cluster.anode import AsyncClusterNode
-
-        node = AsyncClusterNode(args.host, args.port, **kwargs)
-    else:
-        from repro.cluster.node import ClusterNode
-
-        node = ClusterNode(args.host, args.port, **kwargs)
 
     stop = threading.Event()
 

@@ -150,7 +150,6 @@ def _cmd_transfer_striped(args: argparse.Namespace) -> int:
 
         r = run_socket_striped(
             size,
-            driver=args.driver,
             routes=args.routes,
             depots=min(args.depots, args.routes),
             redundancy=args.redundancy,
@@ -158,7 +157,7 @@ def _cmd_transfer_striped(args: argparse.Namespace) -> int:
         verdict = "complete" if r.completed else f"FAILED ({r.error})"
         digest = {True: "ok", False: "MISMATCH", None: "-"}[r.digest_ok]
         print(
-            f"sockets/{args.driver} striped @ {fmt_bytes(size)} over "
+            f"sockets striped @ {fmt_bytes(size)} over "
             f"{args.routes} route(s), redundancy {args.redundancy}: {verdict}"
         )
         print(
@@ -203,7 +202,7 @@ def _cmd_transfer_striped(args: argparse.Namespace) -> int:
 
 
 def _cmd_transfer_sockets(args: argparse.Namespace) -> int:
-    """``transfer --transport sockets``: loopback, real TCP, either driver.
+    """``transfer --transport sockets``: loopback, real TCP.
 
     The scenario's simulated topology cannot be imposed on the kernel's
     loopback path, so only the depot *count* carries over; the point of
@@ -214,12 +213,12 @@ def _cmd_transfer_sockets(args: argparse.Namespace) -> int:
 
     size = parse_size(args.size)
     results = [
-        run_socket_transfer(size, driver=args.driver, depots=args.depots)
+        run_socket_transfer(size, depots=args.depots)
         for _ in range(args.seeds)
     ]
     ok = all(r.completed and r.digest_ok for r in results)
     print(
-        f"sockets/{args.driver} @ {fmt_bytes(size)} via "
+        f"sockets @ {fmt_bytes(size)} via "
         f"{args.depots} depot(s) ({args.seeds} runs):"
     )
     print(
@@ -323,12 +322,10 @@ def _cmd_failover_sockets(args: argparse.Namespace) -> int:
         )
         return 2
     size = parse_size(args.size)
-    r = run_socket_failover(
-        size, driver=args.driver, crash_after_fraction=args.crash_frac
-    )
+    r = run_socket_failover(size, crash_after_fraction=args.crash_frac)
     verdict = "complete" if r.completed else f"FAILED ({r.error})"
     digest = {True: "ok", False: "MISMATCH", None: "-"}[r.digest_ok]
-    print(f"sockets/{args.driver} @ {fmt_bytes(size)}: {verdict}")
+    print(f"sockets @ {fmt_bytes(size)}: {verdict}")
     print(
         f"  goodput {r.throughput_mbps:.2f} Mbit/s over {r.duration_s:.2f}s, "
         f"{r.attempts} attempt(s), {r.failovers} failover(s), digest {digest}"
@@ -517,7 +514,7 @@ def cmd_lsd(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.sockets.obs import JsonEventLog, install_sigusr1_dump
+    from repro.telemetry.obs import JsonEventLog, install_sigusr1_dump
     from repro.telemetry.tracing import TraceSpool
 
     events_path = None
@@ -543,7 +540,6 @@ def cmd_lsd(args: argparse.Namespace) -> int:
                 args.workers,
                 args.host,
                 args.port,
-                driver=args.driver,
                 session_ttl=args.session_ttl,
                 observer=event_log.protocol_observer("cluster"),
                 trace_dir=args.trace_dir,
@@ -556,34 +552,31 @@ def cmd_lsd(args: argparse.Namespace) -> int:
                 args.host,
                 args.port,
                 store_spec=spec,
-                driver=args.driver,
                 session_ttl=args.session_ttl,
                 trace_dir=args.trace_dir,
             )
         snapshot = service.worker_counters
         banner = (
-            f"lsd cluster ({args.driver}, {args.workers} workers, "
+            f"lsd cluster ({args.workers} workers, "
             f"store {spec}, {service.strategy}) listening on "
             f"{service.address[0]}:{service.address[1]}"
         )
     else:
-        if args.driver == "asyncio":
-            from repro.asockets import AsyncDepot as depot_cls
-        else:
-            from repro.sockets.lsd import ThreadedDepot as depot_cls
+        from repro.asockets import AsyncDepot
+
         if args.trace_dir:
             tracer = TraceSpool(
                 service="lsd",
                 path=os.path.join(args.trace_dir, "spans-lsd.jsonl"),
             )
-        service = depot_cls(
+        service = AsyncDepot(
             args.host, args.port,
             observer=event_log.protocol_observer("depot"),
             tracer=tracer,
         )
         snapshot = service.counters.snapshot
         banner = (
-            f"lsd ({args.driver}) listening on "
+            "lsd listening on "
             f"{service.address[0]}:{service.address[1]}"
         )
     exposer = service.expose(args.host, args.expose_port, event_log=event_log)
@@ -633,17 +626,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _add_socket_flags(p: argparse.ArgumentParser) -> None:
-    """``--transport`` + ``--driver``: run over real loopback sockets
-    (threaded or asyncio stack) instead of the simulator."""
+    """``--transport``: run over real loopback sockets instead of the
+    simulator."""
     p.add_argument(
         "--transport", choices=("sim", "sockets"), default="sim",
         help="'sim' runs the discrete-event simulator (default); "
         "'sockets' runs the real client/lsd/server stack on loopback",
-    )
-    p.add_argument(
-        "--driver", choices=("threads", "asyncio"), default="threads",
-        help="real-socket driver for --transport sockets: "
-        "thread-per-connection or single event loop",
     )
 
 
@@ -781,10 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lsd.add_argument(
         "--event-capacity", type=int, default=1024, metavar="N",
         help="size of the in-memory event ring",
-    )
-    p_lsd.add_argument(
-        "--driver", choices=("threads", "asyncio"), default="threads",
-        help="thread-per-connection or single-event-loop depot",
     )
     p_lsd.add_argument(
         "--workers", type=_positive_int, default=1, metavar="N",

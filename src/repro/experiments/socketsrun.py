@@ -1,11 +1,11 @@
-"""Measured transfers over the *real-socket* stacks (both drivers).
+"""Measured transfers over the *real-socket* stack (:mod:`repro.asockets`).
 
 The simulator carries the paper's throughput claims; these runners
 exercise the actual artifact shape — a client, N ``lsd`` depots, and a
-server on loopback sockets — under a selectable driver (``threads`` =
-:mod:`repro.sockets`, ``asyncio`` = :mod:`repro.asockets`). They back
-the ``--transport sockets`` paths of ``repro-lsl transfer`` and
-``repro-lsl failover`` and the differential/c10k test families.
+server on loopback sockets. They back the ``--transport sockets`` paths
+of ``repro-lsl transfer`` and ``repro-lsl failover``. Each client
+transfer runs on its own event loop (``asyncio.run``), so the whole
+path is loop-driven end to end.
 
 :func:`run_socket_transfer` moves one digested payload through a depot
 cascade and reports wall-clock goodput plus per-depot counters.
@@ -18,16 +18,26 @@ same recovery sequence the simulator's ``FailoverTransfer`` runs.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lsl.core import BackoffPolicy, real_digest_factory
-from repro.lsl.errors import FailoverExhausted, LslError
-
-DRIVERS = ("threads", "asyncio")
+from repro.asockets import (
+    AsyncDepot,
+    AsyncLslClient,
+    AsyncLslServer,
+    AsyncStripedServer,
+    async_send_striped,
+)
+from repro.lsl.core import (
+    BackoffPolicy,
+    FailoverExhausted,
+    LslError,
+    real_digest_factory,
+)
 
 #: Payload pattern block (repeated): cheap to generate at any size,
 #: incompressible enough to be honest about copy costs.
@@ -44,7 +54,6 @@ def pattern_payload(nbytes: int) -> bytes:
 class SocketTransferResult:
     """Outcome of one real-socket transfer."""
 
-    driver: str
     nbytes: int
     duration_s: float
     completed: bool
@@ -61,63 +70,30 @@ class SocketTransferResult:
         return self.nbytes * 8 / self.duration_s / 1e6
 
 
-def _make_stack(driver: str, observer=None):
-    """(ServerCls, DepotCls, send_fn) for the chosen driver.
-
-    ``send_fn(route, payload, session_id)`` performs one complete
-    client transfer (connect, payload, trailer, close) and blocks until
-    sent. For the asyncio driver the *client* also runs on asyncio (in
-    ``asyncio.run``), so the whole path is loop-driven end to end.
-    """
-    if driver == "threads":
-        from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
-
-        def send(route, payload, session_id=None):
-            with LslSocketClient(
-                route, payload_length=len(payload), session_id=session_id
-            ) as client:
-                client.sendall(payload)
-                client.finish()
-
-        return ThreadedLslServer, ThreadedDepot, send
-    if driver == "asyncio":
-        import asyncio
-
-        from repro.asockets import AsyncDepot, AsyncLslClient, AsyncLslServer
-
-        def send(route, payload, session_id=None):
-            async def _run():
-                async with AsyncLslClient(
-                    route, payload_length=len(payload), session_id=session_id
-                ) as client:
-                    await client.sendall(payload)
-                    await client.finish()
-
-            asyncio.run(_run())
-
-        return AsyncLslServer, AsyncDepot, send
-    raise LslError(f"unknown driver {driver!r} (want one of {DRIVERS})")
+async def _send(route, payload: bytes) -> None:
+    """One complete client transfer: connect, payload, trailer, close."""
+    async with AsyncLslClient(route, payload_length=len(payload)) as client:
+        await client.sendall(payload)
+        await client.finish()
 
 
 def run_socket_transfer(
     nbytes: int,
     *,
-    driver: str = "threads",
     depots: int = 1,
     host: str = "127.0.0.1",
     timeout: float = 60.0,
 ) -> SocketTransferResult:
     """One digested transfer through ``depots`` cascaded real depots."""
-    server_cls, depot_cls, send = _make_stack(driver)
     payload = pattern_payload(nbytes)
-    with server_cls(host) as server:
-        chain = [depot_cls(host) for _ in range(depots)]
+    with AsyncLslServer(host) as server:
+        chain = [AsyncDepot(host) for _ in range(depots)]
         try:
             route = [d.address for d in chain] + [server.address]
             t0 = time.perf_counter()
             error: Optional[str] = None
             try:
-                send(route, payload)
+                asyncio.run(_send(route, payload))
                 completed = server.wait_for_sessions(1, timeout=timeout)
             except Exception as exc:  # noqa: BLE001 - reported in result
                 completed, error = False, f"{type(exc).__name__}: {exc}"
@@ -132,7 +108,6 @@ def run_socket_transfer(
             for d in chain:  # let in-flight relays drain before snapshot
                 _await_idle(d)
             return SocketTransferResult(
-                driver=driver,
                 nbytes=nbytes,
                 duration_s=duration,
                 completed=completed,
@@ -158,7 +133,6 @@ class SocketStripedResult(SocketTransferResult):
 def run_socket_striped(
     nbytes: int,
     *,
-    driver: str = "threads",
     routes: int = 2,
     depots: int = 0,
     redundancy: str = "none",
@@ -178,40 +152,9 @@ def run_socket_striped(
         raise LslError("need at least one route")
     if not 0 <= depots <= routes:
         raise LslError("depots must be between 0 and routes")
-    if driver == "threads":
-        from repro.sockets.striped import StripedThreadedServer, send_striped
-
-        def striped_send(route_list, payload):
-            return send_striped(
-                route_list, payload, redundancy=redundancy,
-                timeout=timeout, sndbuf=sndbuf,
-            )
-
-        server_cls = StripedThreadedServer
-        _, depot_cls, _ = _make_stack("threads")
-    elif driver == "asyncio":
-        import asyncio
-
-        from repro.asockets.striped import AsyncStripedServer
-        from repro.asockets.striped import send_striped as async_send
-
-        def striped_send(route_list, payload):
-            async def _run():
-                return await async_send(
-                    route_list, payload, redundancy=redundancy,
-                    timeout=timeout, sndbuf=sndbuf,
-                )
-
-            return asyncio.run(_run())
-
-        server_cls = AsyncStripedServer
-        _, depot_cls, _ = _make_stack("asyncio")
-    else:
-        raise LslError(f"unknown driver {driver!r} (want one of {DRIVERS})")
-
     payload = pattern_payload(nbytes)
-    with server_cls(host) as server:
-        chain = [depot_cls(host) for _ in range(depots)]
+    with AsyncStripedServer(host) as server:
+        chain = [AsyncDepot(host) for _ in range(depots)]
         try:
             route_list = [
                 [chain[i].address, server.address]
@@ -223,7 +166,12 @@ def run_socket_striped(
             error: Optional[str] = None
             report = None
             try:
-                report = striped_send(route_list, payload)
+                report = asyncio.run(
+                    async_send_striped(
+                        route_list, payload, redundancy=redundancy,
+                        timeout=timeout, sndbuf=sndbuf,
+                    )
+                )
                 completed = server.wait_for_sessions(1, timeout=timeout)
             except Exception as exc:  # noqa: BLE001 - reported in result
                 completed, error = False, f"{type(exc).__name__}: {exc}"
@@ -238,7 +186,6 @@ def run_socket_striped(
             for d in chain:
                 _await_idle(d)
             return SocketStripedResult(
-                driver=driver,
                 nbytes=nbytes,
                 duration_s=duration,
                 completed=completed,
@@ -278,10 +225,7 @@ def _crash_when_received(
         record = server.registry.get(session_id)
         live = getattr(record, "attachment", None) if record else None
         if live is not None and live.receiver.payload_received >= threshold:
-            if hasattr(depot, "_session_socks"):  # ThreadedDepot
-                depot.shutdown(abort_sessions=True)
-            else:  # AsyncDepot: non-draining shutdown == crash
-                depot.shutdown(drain=False)
+            depot.shutdown(drain=False)  # non-draining shutdown == crash
             crashed.set()
             return
         time.sleep(0.002)
@@ -290,7 +234,6 @@ def _crash_when_received(
 def run_socket_failover(
     nbytes: int,
     *,
-    driver: str = "threads",
     crash_after_fraction: float = 0.25,
     max_attempts: int = 4,
     backoff: Optional[BackoffPolicy] = None,
@@ -313,15 +256,14 @@ def run_socket_failover(
     """
     if not (0.0 < crash_after_fraction < 1.0):
         raise LslError("crash_after_fraction must be in (0, 1)")
-    server_cls, depot_cls, _send = _make_stack(driver)
     payload = pattern_payload(nbytes)
     session_id = (rng or random.Random()).getrandbits(128).to_bytes(16, "big")
     policy = backoff or BackoffPolicy(base_s=0.05, max_s=1.0)
     rng = rng or random.Random(0)
     crashed = threading.Event()
-    with server_cls(host) as server:
-        primary = depot_cls(host)
-        backup = depot_cls(host)
+    with AsyncLslServer(host) as server:
+        primary = AsyncDepot(host)
+        backup = AsyncDepot(host)
         watcher = threading.Thread(
             target=_crash_when_received,
             args=(
@@ -340,7 +282,6 @@ def run_socket_failover(
         error: Optional[str] = None
         try:
             sent = _failover_send(
-                driver,
                 [primary.address, server.address],
                 [backup.address, server.address],
                 payload,
@@ -370,7 +311,6 @@ def run_socket_failover(
             digest_ok = server.results[0].digest_ok
             completed = completed and server.results[0].payload == payload
         return SocketTransferResult(
-            driver=driver,
             nbytes=nbytes,
             duration_s=duration,
             completed=completed,
@@ -385,7 +325,6 @@ def run_socket_failover(
 
 
 def _failover_send(
-    driver: str,
     primary_route: Sequence[Tuple[str, int]],
     backup_route: Sequence[Tuple[str, int]],
     payload: bytes,
@@ -413,7 +352,9 @@ def _failover_send(
         rebind = attempts > 0
         attempts += 1
         try:
-            _one_attempt(driver, route, payload, session_id, rebind, pace_s)
+            asyncio.run(
+                _one_attempt(route, payload, session_id, rebind, pace_s)
+            )
             if confirm is not None and not confirm():
                 raise LslError("relay lost the stream after a local send")
             return attempts, failovers
@@ -429,8 +370,7 @@ def _failover_send(
 _PACE_CHUNK = 32 * 1024
 
 
-def _one_attempt(
-    driver: str,
+async def _one_attempt(
     route: Sequence[Tuple[str, int]],
     payload: bytes,
     session_id: bytes,
@@ -444,34 +384,13 @@ def _one_attempt(
             resume_query=True,
             digest_factory=real_digest_factory(payload),
         )
-    if driver == "threads":
-        from repro.sockets import LslSocketClient
-
-        client = LslSocketClient(list(route), **kwargs)
-        try:
-            offset = client.granted_offset or 0
-            for pos in range(offset, len(payload), _PACE_CHUNK):
-                client.sendall(payload[pos : pos + _PACE_CHUNK])
-                if pace_s:
-                    time.sleep(pace_s)
-            client.finish()
-        finally:
-            client.close()
-        return
-    import asyncio
-
-    from repro.asockets import AsyncLslClient
-
-    async def _run():
-        client = await AsyncLslClient.open(list(route), **kwargs)
-        try:
-            offset = client.granted_offset or 0
-            for pos in range(offset, len(payload), _PACE_CHUNK):
-                await client.sendall(payload[pos : pos + _PACE_CHUNK])
-                if pace_s:
-                    await asyncio.sleep(pace_s)
-            await client.finish()
-        finally:
-            client.close()
-
-    asyncio.run(_run())
+    client = await AsyncLslClient.open(list(route), **kwargs)
+    try:
+        offset = client.granted_offset or 0
+        for pos in range(offset, len(payload), _PACE_CHUNK):
+            await client.sendall(payload[pos : pos + _PACE_CHUNK])
+            if pace_s:
+                await asyncio.sleep(pace_s)
+        await client.finish()
+    finally:
+        client.close()

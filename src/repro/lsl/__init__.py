@@ -20,28 +20,30 @@ Public API
 - :func:`repro.lsl.client.lsl_connect` — open a session over a route.
 - :class:`repro.lsl.server.LslServer` — accept sessions.
 - :class:`repro.lsl.depot.Depot` — run a depot (``lsd``).
-- :class:`repro.lsl.header.LslHeader` — the wire header.
-- :class:`repro.lsl.digest.StreamDigest` — end-to-end MD5 over the
+- :class:`repro.lsl.core.LslHeader` — the wire header.
+- :class:`repro.lsl.core.StreamDigest` — end-to-end MD5 over the
   stream (the end-to-end integrity check the paper keeps at the ends).
 """
 
-from repro.lsl.errors import (
+from repro.lsl.core import (
+    HEADER_MAGIC,
+    BackoffPolicy,
     DepotDown,
     DigestMismatch,
     FailoverExhausted,
+    FrameDecoder,
     LslError,
+    LslHeader,
     ProtocolError,
     RouteError,
-    SessionUnknown,
-)
-from repro.lsl.header import HEADER_MAGIC, LslHeader, RouteHop
-from repro.lsl.session import (
-    BackoffPolicy,
+    RouteHop,
     SessionId,
     SessionRegistry,
+    SessionUnknown,
+    StreamDigest,
+    encode_frame_header,
     new_session_id,
 )
-from repro.lsl.digest import StreamDigest
 from repro.lsl.relay import RelayPump
 from repro.lsl.depot import Depot
 from repro.lsl.client import (
@@ -52,7 +54,6 @@ from repro.lsl.client import (
     virtual_digest_factory,
 )
 from repro.lsl.server import LslServer, LslServerConnection
-from repro.lsl.framing import FrameDecoder, encode_frame_header
 from repro.lsl.striped import StripedClient, StripedLslServer
 from repro.lsl.storeforward import StoreForwardDepot
 

@@ -31,15 +31,19 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.lsl.core import (
+    STREAM_UNTIL_FIN,
     ClientHandshake,
+    FailoverExhausted,
+    LslError,
+    LslHeader,
     PayloadSender,
     ProtocolError,
+    RouteError,
+    RouteHop,
     StreamDigest,
     TraceContext,
     virtual_digest_factory,
 )
-from repro.lsl.errors import FailoverExhausted, LslError, RouteError
-from repro.lsl.header import STREAM_UNTIL_FIN, LslHeader, RouteHop
 from repro.lsl.session import BackoffPolicy, SessionId, new_session_id
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.sockets import SimSocket, TcpStack

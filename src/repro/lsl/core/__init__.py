@@ -7,7 +7,7 @@ trailer — expressed as pure state machines that **consume bytes or
 chunks and return decisions**. Nothing in this package performs I/O,
 schedules time, or imports the simulator kernel or the ``socket``
 module; both the discrete-event stack (:mod:`repro.lsl`) and the
-real-socket stack (:mod:`repro.sockets`) are thin drivers over these
+real-socket stack (:mod:`repro.asockets`) are thin drivers over these
 machines (h11-style: one protocol core, many transports).
 
 Driver contract (see ``docs/PROTOCOL.md`` §7 for the checklist):

@@ -11,7 +11,7 @@ hashed directly; each maximal virtual run contributes a marker
 (real↔virtual transitions) are positions in the stream, so both ends
 compute identical digests regardless of how TCP segmented the data.
 For all-real streams this reduces to plain ``md5(payload)`` — the
-real-socket stack (:mod:`repro.sockets`) uses exactly that.
+real-socket stack (:mod:`repro.asockets`) uses exactly that.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ parsed header arrives on a fresh sublink — fresh session, rebind of a
 live one, restart of a half-established one, or rejection — and
 :func:`negotiate_resume` / :func:`establishment_reply` pin down the
 exact reply bytes (``SESSION_ACK`` [+ 8-byte granted offset]), so the
-simulator server and the threaded socket server cannot drift.
+simulator server and the real-socket server cannot drift.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Section VII names multi-path and parallel-stream generalization as the
 point of session-layer framing. These machines carry that
-generalization for *every* driver (simulator, threaded sockets,
-asyncio): a :class:`StripeScheduler` on the sending side deals
+generalization for *every* driver (simulator and asyncio
+sockets): a :class:`StripeScheduler` on the sending side deals
 fixed-size stripes of one logical payload across N sublinks, and a
 :class:`StripeAssembler` on the receiving side reassembles them in
 offset order, feeds the end-to-end MD5, and completes when coverage is

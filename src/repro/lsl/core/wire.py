@@ -14,7 +14,7 @@ Layout (big-endian)::
                            bit 2: synchronous establishment — the server
                                   acks the session through the cascade
                                   before the client sends payload,
-                           bit 3: framed payload — see repro.lsl.framing,
+                           bit 3: framed payload — see repro.lsl.core.framing,
                            bit 4: resume query — rebind asks the server
                                   for the authoritative resume offset,
                            bit 5: trace — a 25-byte trace descriptor

@@ -18,9 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.lsl.core import RelayCore, RelayReject
-from repro.lsl.errors import DepotDown, RouteError
-from repro.lsl.header import LslHeader
+from repro.lsl.core import (
+    DepotDown,
+    LslHeader,
+    RelayCore,
+    RelayReject,
+    RouteError,
+)
 from repro.lsl.relay import RelayPump
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions

@@ -17,21 +17,23 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from repro.lsl.core import (
+    EOF_COMPLETE,
+    EOF_SUSPEND,
     AcceptRebind,
     Completed,
     Deliver,
-    EOF_COMPLETE,
-    EOF_SUSPEND,
     Failed,
+    HeaderAccumulator,
+    LslError,
+    LslHeader,
     PayloadReceiver,
+    ProtocolError,
     RejectSession,
     RestartSession,
     SessionAcceptor,
+    StreamDigest,
     negotiate_resume,
 )
-from repro.lsl.digest import StreamDigest
-from repro.lsl.errors import LslError, ProtocolError
-from repro.lsl.header import HeaderAccumulator, LslHeader
 from repro.lsl.session import SessionRegistry
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions

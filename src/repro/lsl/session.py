@@ -1,4 +1,8 @@
-"""Session identity and registry (canonical home: :mod:`repro.lsl.core.session`)."""
+"""Session identity and registry (canonical home: :mod:`repro.lsl.core.session`).
+
+A re-export kept because ``perfbench/lanes.py`` imports
+``new_session_id`` from here.
+"""
 
 from __future__ import annotations
 

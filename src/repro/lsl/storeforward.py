@@ -20,10 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.lsl.core import RelayCore, RelayReject
+from repro.lsl.core import (
+    LslHeader,
+    ProtocolError,
+    RelayCore,
+    RelayReject,
+)
 from repro.lsl.depot import DepotStats
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import LslHeader
 from repro.sim import Timer
 from repro.tcp.buffers import StreamChunk
 from repro.tcp.options import TcpOptions

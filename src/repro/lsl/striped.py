@@ -5,8 +5,8 @@ other approaches such as multi-path performance optimizations and
 parallel TCP streams. To facilitate this generalization ... we will
 investigate session-layer framing." The protocol logic lives in the
 sans-I/O machines of :mod:`repro.lsl.core.striping`; this module is
-the simulator driver over them (the real-socket drivers are
-:mod:`repro.sockets.striped` and :mod:`repro.asockets.striped`):
+the simulator driver over them (the real-socket driver is
+:mod:`repro.asockets.striped`):
 
 - :class:`StripedClient` opens one sublink per *route* (all carrying
   the same 128-bit session id, FLAG_FRAMED set) and pumps whatever the
@@ -35,20 +35,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lsl.client import HopLike, _normalize_route
 from repro.lsl.core import (
+    STREAM_UNTIL_FIN,
     Completed,
     Deliver,
     Failed,
+    LslError,
     LslHeader,
+    ProtocolError,
     ProtocolObserver,
     Redundancy,
+    RouteError,
     RouteHop,
     StripeAssembler,
     StripeScheduler,
     parse_redundancy,
 )
 from repro.lsl.core.striping import DEFAULT_STRIPE, KIND_DATA, Assignment
-from repro.lsl.errors import LslError, ProtocolError, RouteError
-from repro.lsl.header import STREAM_UNTIL_FIN
 from repro.lsl.server import _PendingAccept
 from repro.lsl.session import SessionId, SessionRegistry, new_session_id
 from repro.tcp.buffers import StreamChunk

@@ -1,12 +1,5 @@
-"""End-to-end tests for the asyncio driver (client / lsd / server).
-
-Everything here mirrors behaviour already pinned for the threaded
-stack in ``tests/sockets`` — same sessions, same rebind/resume
-semantics, same failure accounting — because both drivers sit on the
-same sans-I/O core. The mixed-driver tests additionally prove wire
-interoperability: a threaded client through an asyncio depot (and vice
-versa) is just another LSL peer.
-"""
+"""End-to-end tests for the asyncio client / lsd / server, driven
+from coroutines: transfers, rebind/resume, failure accounting."""
 
 from __future__ import annotations
 
@@ -20,7 +13,6 @@ import pytest
 
 from repro.asockets import AsyncDepot, AsyncLslClient, AsyncLslServer
 from repro.lsl.core import real_digest_factory
-from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
 
 SESSION_ID = bytes(range(16))
 PAYLOAD = random.Random(2026).randbytes(120_000)
@@ -120,31 +112,6 @@ def test_server_reply_reaches_client():
         with AsyncDepot() as depot:
             got = asyncio.run(_run([depot.address, server.address]))
     assert got == b"done!"
-
-
-# -- cross-driver interop ---------------------------------------------------
-
-
-def test_threaded_client_through_async_depot_to_threaded_server():
-    with ThreadedLslServer() as server:
-        with AsyncDepot() as depot:
-            with LslSocketClient(
-                [depot.address, server.address], payload_length=len(PAYLOAD)
-            ) as client:
-                client.sendall(PAYLOAD)
-                client.finish()
-            assert server.wait_for_sessions(1)
-    (result,) = server.results
-    assert result.payload == PAYLOAD and result.digest_ok is True
-
-
-def test_async_client_through_threaded_depot_to_async_server():
-    with AsyncLslServer() as server:
-        with ThreadedDepot() as depot:
-            _send([depot.address, server.address], PAYLOAD)
-            assert server.wait_for_sessions(1)
-    (result,) = server.results
-    assert result.payload == PAYLOAD and result.digest_ok is True
 
 
 # -- rebind / resume --------------------------------------------------------
@@ -249,36 +216,3 @@ def test_garbage_header_rejected_and_counted():
         raw.close()
         assert _wait(lambda: depot.counters.sessions_failed == 1)
 
-
-# -- exposition parity ------------------------------------------------------
-
-
-def _metric_names(text):
-    return {
-        line.split()[2]
-        for line in text.splitlines()
-        if line.startswith("# TYPE")
-    }
-
-
-def test_exposition_surface_matches_threaded_driver():
-    import urllib.request
-
-    with ThreadedDepot() as tdepot, AsyncDepot() as adepot:
-        texp = tdepot.expose()
-        aexp = adepot.expose()
-        try:
-            t_metrics = urllib.request.urlopen(
-                f"{texp.url}/metrics", timeout=5
-            ).read().decode()
-            a_metrics = urllib.request.urlopen(
-                f"{aexp.url}/metrics", timeout=5
-            ).read().decode()
-            a_health = urllib.request.urlopen(
-                f"{aexp.url}/healthz", timeout=5
-            ).read().decode()
-        finally:
-            texp.shutdown()
-            aexp.shutdown()
-    assert _metric_names(a_metrics) == _metric_names(t_metrics)
-    assert '"driver": "asyncio"' in a_health

@@ -1,7 +1,7 @@
 """Lifecycle tests for :class:`repro.asockets.runtime.AsyncLoopService`.
 
-Accept-loop resilience (the threaded stack's permadeath bug class must
-not recur here), graceful-drain vs crash shutdown, task-leak checks,
+Accept-loop resilience (a transient ``accept()`` failure must not
+kill the loop), graceful-drain vs crash shutdown, task-leak checks,
 and a mini concurrency smoke — the full C10K measurement lives in
 ``benchmarks/bench_c10k.py``.
 """

@@ -4,8 +4,12 @@ import struct
 
 import pytest
 
-from repro.lsl.core import SESSION_ACK, RejectSession
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core import (
+    SESSION_ACK,
+    LslHeader,
+    RejectSession,
+    RouteHop,
+)
 from repro.cluster import (
     InMemoryStore,
     StoreAcceptNew,

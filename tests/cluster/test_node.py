@@ -1,4 +1,4 @@
-"""ClusterNode / AsyncClusterNode / LocalCluster end-to-end behavior.
+"""AsyncClusterNode / LocalCluster end-to-end behavior.
 
 Real loopback sockets throughout: these are the tests that pin the
 resume-anywhere story — suspend on one worker, rebind on another,
@@ -11,9 +11,10 @@ import time
 
 import pytest
 
+from repro.asockets import AsyncLslServer
+from repro.cluster import AsyncClusterNode, InMemoryStore, LocalCluster
 from repro.lsl.core import real_digest_factory
-from repro.sockets import LslSocketClient, ThreadedLslServer
-from repro.cluster import ClusterNode, InMemoryStore, LocalCluster
+from tests.helpers import SyncClient
 
 SID = bytes(range(16))
 PAYLOAD = random.Random(2026).randbytes(300_000)
@@ -36,17 +37,15 @@ def _wait_spooled(store, sid, minimum, timeout=5.0):
     return _wait(spooled, timeout)
 
 
-@pytest.fixture(params=["threads", "asyncio"])
+@pytest.fixture(params=["asyncio"])
 def driver(request):
+    """The node driver (``LocalCluster(driver=...)``); asyncio is the
+    only one."""
     return request.param
 
 
 def _make_node(driver, **kwargs):
-    if driver == "asyncio":
-        from repro.cluster import AsyncClusterNode
-
-        return AsyncClusterNode(**kwargs)
-    return ClusterNode(**kwargs)
+    return AsyncClusterNode(**kwargs)
 
 
 # -- single node -----------------------------------------------------------
@@ -55,7 +54,7 @@ def _make_node(driver, **kwargs):
 def test_terminal_transfer(driver):
     store = InMemoryStore()
     with _make_node(driver, store=store, worker="w0") as node:
-        with LslSocketClient(
+        with SyncClient(
             [node.address], payload_length=len(PAYLOAD), session_id=SID
         ) as client:
             client.sendall(PAYLOAD)
@@ -74,7 +73,7 @@ def test_terminal_reply_reaches_client(driver):
     with _make_node(
         driver, store=InMemoryStore(), worker="w0", reply=b"stored!"
     ) as node:
-        with LslSocketClient(
+        with SyncClient(
             [node.address], payload_length=len(PAYLOAD)
         ) as client:
             client.sendall(PAYLOAD)
@@ -84,7 +83,7 @@ def test_terminal_reply_reaches_client(driver):
 
 def test_framed_terminal_transfer(driver):
     with _make_node(driver, store=InMemoryStore(), worker="w0") as node:
-        with LslSocketClient(
+        with SyncClient(
             [node.address], payload_length=len(PAYLOAD), framed=True
         ) as client:
             client.sendall(PAYLOAD)
@@ -97,11 +96,11 @@ def test_framed_terminal_transfer(driver):
 def test_intermediate_hop_still_relays(driver):
     # a cluster node is a full depot: non-last-hop sessions relay
     # through the inherited machinery instead of terminating
-    with ThreadedLslServer() as server:
+    with AsyncLslServer() as server:
         with _make_node(
             driver, store=InMemoryStore(), worker="w0"
         ) as node:
-            with LslSocketClient(
+            with SyncClient(
                 [node.address, server.address], payload_length=len(PAYLOAD)
             ) as client:
                 client.sendall(PAYLOAD)
@@ -116,14 +115,14 @@ def test_same_node_suspend_resume(driver):
     cut = 120_000
     store = InMemoryStore()
     with _make_node(driver, store=store, worker="w0") as node:
-        with LslSocketClient(
+        with SyncClient(
             [node.address], payload_length=len(PAYLOAD), session_id=SID
         ) as client:
             client.sendall(PAYLOAD[:cut])
             # close without finish(): FIN mid-payload -> suspend
         assert _wait_spooled(store, SID, cut)
         assert _wait(lambda: node.counters.sessions_suspended == 1)
-        with LslSocketClient(
+        with SyncClient(
             [node.address],
             payload_length=len(PAYLOAD),
             session_id=SID,
@@ -147,7 +146,7 @@ def test_session_ttl_expires_suspended_session(driver):
     with _make_node(
         driver, store=store, worker="w0", session_ttl=0.2
     ) as node:
-        with LslSocketClient(
+        with SyncClient(
             [node.address], payload_length=len(PAYLOAD), session_id=SID
         ) as client:
             client.sendall(PAYLOAD[:50_000])
@@ -155,7 +154,7 @@ def test_session_ttl_expires_suspended_session(driver):
         assert _wait(lambda: node.counters.sessions_expired >= 1)
         # an expired session cannot be rebound
         with pytest.raises(Exception):
-            LslSocketClient(
+            SyncClient(
                 [node.address],
                 payload_length=len(PAYLOAD),
                 session_id=SID,
@@ -171,7 +170,7 @@ def test_session_ttl_expires_suspended_session(driver):
 def test_cross_worker_takeover_resume(driver):
     cut = 150_000
     with LocalCluster(2, driver=driver) as cluster:
-        with LslSocketClient(
+        with SyncClient(
             [cluster.address], payload_length=len(PAYLOAD), session_id=SID
         ) as client:
             client.sendall(PAYLOAD[:cut])
@@ -179,7 +178,7 @@ def test_cross_worker_takeover_resume(driver):
         owner = cluster.store.load(SID).owner
         owner_idx = int(owner[1:])
         cluster.kill(owner_idx)  # crash the owning worker
-        with LslSocketClient(
+        with SyncClient(
             [cluster.address],
             payload_length=len(PAYLOAD),
             session_id=SID,
@@ -206,7 +205,7 @@ def test_cluster_aggregated_exposition():
     import urllib.request
 
     with LocalCluster(2) as cluster:
-        with LslSocketClient(
+        with SyncClient(
             [cluster.address], payload_length=len(PAYLOAD)
         ) as client:
             client.sendall(PAYLOAD)
@@ -229,6 +228,12 @@ def test_memory_store_rejects_nothing_but_validates_args():
     with pytest.raises(ValueError):
         LocalCluster(0)
     with pytest.raises(ValueError):
-        ClusterNode(store=InMemoryStore(), worker="w0", session_ttl=-1.0)
+        AsyncClusterNode(
+            store=InMemoryStore(), worker="w0", session_ttl=-1.0
+        )
     with pytest.raises(ValueError):
-        ClusterNode(store=InMemoryStore(), worker="w0", checkpoint_bytes=0)
+        AsyncClusterNode(
+            store=InMemoryStore(), worker="w0", checkpoint_bytes=0
+        )
+    with pytest.raises(ValueError):
+        LocalCluster(1, driver="trio")

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from repro.sockets import LslSocketClient
 from repro.cluster import MiniRedis, WorkerPool
 from repro.cluster.pool import pick_strategy
+from tests.helpers import SyncClient
 
 PAYLOAD = os.urandom(200_000)
 
@@ -26,7 +26,7 @@ def _wait_counter(pool, name, minimum, timeout=10.0):
 
 
 def _transfer(pool):
-    with LslSocketClient(
+    with SyncClient(
         [pool.address], payload_length=len(PAYLOAD)
     ) as client:
         client.sendall(PAYLOAD)

@@ -12,14 +12,20 @@ span — and a fleet report that scores the takeover.
 import json
 import random
 import time
+from pathlib import Path
 
-from repro.lsl.core import real_digest_factory
-from repro.sockets import LslSocketClient
 from repro.cluster import WorkerPool
+from repro.lsl.core import real_digest_factory
 from repro.telemetry.chrometrace import validate_trace_file
 from repro.telemetry.collect import collect_dir, write_fleet_artifacts
 from repro.telemetry.diagnose.schema import validate_flow_report_file
 from repro.telemetry.tracing import TraceSpool
+from tests.helpers import SyncClient
+
+FLEET_SCHEMA = (
+    Path(__file__).resolve().parents[2]
+    / "docs" / "schemas" / "fleet_report.schema.json"
+)
 
 SID = bytes(range(16))
 PAYLOAD = random.Random(2027).randbytes(600_000)
@@ -48,7 +54,7 @@ def test_sigkill_resume_is_one_trace_across_three_processes(tmp_path):
         checkpoint_bytes=CHECKPOINT,
         trace_dir=str(spans_dir),
     ) as pool:
-        client = LslSocketClient(
+        client = SyncClient(
             [pool.address],
             payload_length=len(PAYLOAD),
             session_id=SID,
@@ -64,7 +70,7 @@ def test_sigkill_resume_is_one_trace_across_three_processes(tmp_path):
         owner_idx = int(pool.store.load(SID).owner[1:])
         pool.kill(owner_idx)  # SIGKILL: the owner's spool keeps its "b"
         client.close()
-        with LslSocketClient(
+        with SyncClient(
             [pool.address],
             payload_length=len(PAYLOAD),
             session_id=SID,
@@ -94,9 +100,7 @@ def test_sigkill_resume_is_one_trace_across_three_processes(tmp_path):
     records = collect_dir(spans_dir)
     paths = write_fleet_artifacts(records, tmp_path / "fleet")
     assert validate_trace_file(paths["trace"]) == []
-    assert validate_flow_report_file(
-        paths["report"], "docs/schemas/fleet_report.schema.json"
-    ) == []
+    assert validate_flow_report_file(paths["report"], FLEET_SCHEMA) == []
 
     report = json.loads(paths["report"].read_text())
     (session,) = report["sessions"]  # ONE trace end to end

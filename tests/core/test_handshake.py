@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.lsl.core import ClientHandshake, ProtocolError, SESSION_ACK
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core import (
+    SESSION_ACK,
+    ClientHandshake,
+    LslHeader,
+    ProtocolError,
+    RouteHop,
+)
 
 
 def make_header(**kw):

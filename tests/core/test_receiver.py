@@ -10,21 +10,22 @@ import hashlib
 import pytest
 
 from repro.lsl.core import (
+    EOF_CLOSE,
+    EOF_COMPLETE,
+    EOF_SUSPEND,
+    STREAM_UNTIL_FIN,
     Chunk,
     Completed,
     Deliver,
     DigestMismatch,
-    EOF_CLOSE,
-    EOF_COMPLETE,
-    EOF_SUSPEND,
     Failed,
     FramedReceiver,
+    LslHeader,
     PayloadReceiver,
     ProtocolError,
-    STREAM_UNTIL_FIN,
+    RouteHop,
     encode_frame_header,
 )
-from repro.lsl.header import LslHeader, RouteHop
 
 
 def make_header(**kw):

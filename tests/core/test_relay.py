@@ -3,8 +3,15 @@ FIN-timing rules the cascaded-relay bugfix sweep pinned down."""
 
 import pytest
 
-from repro.lsl.core import Chunk, ProtocolError, RelayCore, RelayForward, RelayReject
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core import (
+    Chunk,
+    LslHeader,
+    ProtocolError,
+    RelayCore,
+    RelayForward,
+    RelayReject,
+    RouteHop,
+)
 
 
 def make_header(**kw):

@@ -5,14 +5,15 @@ import hashlib
 import pytest
 
 from repro.lsl.core import (
-    LslError,
-    PayloadSender,
     STREAM_UNTIL_FIN,
+    LslError,
+    LslHeader,
+    PayloadSender,
+    RouteHop,
     StreamDigest,
     real_digest_factory,
     virtual_digest_factory,
 )
-from repro.lsl.header import LslHeader, RouteHop
 
 
 def make_header(**kw):

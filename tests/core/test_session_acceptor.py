@@ -5,19 +5,20 @@ import struct
 import pytest
 
 from repro.lsl.core import (
+    SESSION_ACK,
     AcceptNew,
     AcceptRebind,
     LslError,
+    LslHeader,
     ProtocolError,
     RejectSession,
     RestartSession,
-    SESSION_ACK,
+    RouteHop,
     SessionAcceptor,
     SessionRegistry,
     establishment_reply,
     negotiate_resume,
 )
-from repro.lsl.header import LslHeader, RouteHop
 
 
 def make_header(**kw):

@@ -15,8 +15,8 @@ import time
 import pytest
 
 from repro.lsl.core import real_digest_factory
-from repro.sockets import LslSocketClient
 from repro.cluster import LocalCluster, MiniRedis, WorkerPool
+from tests.helpers import SyncClient
 
 SID = bytes(range(16))
 PAYLOAD = random.Random(2027).randbytes(600_000)
@@ -36,7 +36,7 @@ def _wait(predicate, timeout=10.0):
 def _single_worker_delivery():
     """Baseline: the same payload through one worker, no failover."""
     with LocalCluster(1) as cluster:
-        with LslSocketClient(
+        with SyncClient(
             [cluster.address],
             payload_length=len(PAYLOAD),
             digest_factory=real_digest_factory(PAYLOAD),
@@ -55,7 +55,7 @@ def _send_partial(address, store):
     Returns with the sublink still open — the kill that follows is a
     genuine mid-payload crash, not a tidy suspend.
     """
-    client = LslSocketClient(
+    client = SyncClient(
         [address], payload_length=len(PAYLOAD), session_id=SID
     )
     client.sendall(PAYLOAD[:CUT])
@@ -68,7 +68,7 @@ def _send_partial(address, store):
 
 def _resume_and_finish(address):
     """Rebind against the fleet address and complete the payload."""
-    with LslSocketClient(
+    with SyncClient(
         [address],
         payload_length=len(PAYLOAD),
         session_id=SID,

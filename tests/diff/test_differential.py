@@ -1,4 +1,4 @@
-"""Differential tests: simulator stack vs real-socket stack.
+"""Differential tests: simulator stack vs real-socket (asyncio) stack.
 
 Both stacks drive the same sans-I/O core, so for the same scenario —
 route, payload, digest, resume-after-kill — they must put the same
@@ -26,12 +26,13 @@ import time
 
 import pytest
 
+from repro.asockets import AsyncDepot, AsyncLslServer
 from repro.lsl.client import lsl_connect
 from repro.lsl.core import Chunk, FrameDecoder, real_digest_factory
 from repro.lsl.depot import Depot
 from repro.net.topology import Network
-from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
 from repro.tcp.sockets import TcpStack
+from tests.helpers import SyncClient
 
 SESSION_ID = bytes(range(16))
 PAYLOAD = random.Random(2026).randbytes(120_000)
@@ -113,9 +114,9 @@ def capture_real_stream(route_tail_hosts, payload, framed=False):
     plus the final sink host. Returns (route, stream_at_sink).
     """
     sink = RealSink(route_tail_hosts[-1])
-    depots = [ThreadedDepot(host=h) for h in route_tail_hosts[:-1]]
+    depots = [AsyncDepot(host=h) for h in route_tail_hosts[:-1]]
     route = [d.address for d in depots] + [sink.address]
-    client = LslSocketClient(
+    client = SyncClient(
         route,
         payload_length=len(payload),
         sync=False,  # a raw sink never acks
@@ -221,7 +222,7 @@ def test_trailer_is_the_payload_md5_in_both_stacks():
 
 
 def test_framed_stream_decodes_to_same_logical_content():
-    from repro.lsl.header import HeaderAccumulator
+    from repro.lsl.core import HeaderAccumulator
 
     _route, real = capture_real_stream(["127.0.0.1"], PAYLOAD, framed=True)
     acc = HeaderAccumulator()
@@ -249,8 +250,8 @@ def test_framed_stream_decodes_to_same_logical_content():
 
 
 def test_framed_end_to_end_through_real_server():
-    with ThreadedLslServer() as server:
-        with LslSocketClient(
+    with AsyncLslServer() as server:
+        with SyncClient(
             [server.address], payload_length=len(PAYLOAD), framed=True
         ) as c:
             c.sendall(PAYLOAD)
@@ -283,8 +284,8 @@ def _wait_received(server, session_id, count, timeout=10.0):
 
 def test_resume_after_kill_over_real_sockets():
     cut = 48_000
-    with ThreadedLslServer() as server:
-        c1 = LslSocketClient(
+    with AsyncLslServer() as server:
+        c1 = SyncClient(
             [server.address],
             payload_length=len(PAYLOAD),
             session_id=SESSION_ID,
@@ -293,7 +294,7 @@ def test_resume_after_kill_over_real_sockets():
         c1.close()  # die without finish(): FIN mid-payload -> suspend
         assert _wait_received(server, SESSION_ID, cut)
 
-        c2 = LslSocketClient(
+        c2 = SyncClient(
             [server.address],
             payload_length=len(PAYLOAD),
             session_id=SESSION_ID,
@@ -331,7 +332,7 @@ def test_resume_rebind_wire_and_grant_match_simulator():
     # name the sink's actual (host, port), so run the real side first
     # and mirror its port into the simulator.
     sink_r = RealSink(reply=reply)
-    client = LslSocketClient(
+    client = SyncClient(
         [sink_r.address],
         payload_length=len(PAYLOAD),
         session_id=SESSION_ID,

@@ -1,8 +1,8 @@
-"""Differential: striped transfers across all three drivers.
+"""Differential: striped transfers across both drivers.
 
 The striping logic lives once, in the sans-I/O machines of
-:mod:`repro.lsl.core.striping`; the simulator, threaded-socket, and
-asyncio drivers are thin adapters over them. So for the same payload
+:mod:`repro.lsl.core.striping`; the simulator and asyncio-socket
+drivers are thin adapters over them. So for the same payload
 and redundancy mode, every driver must deliver a **byte-identical**
 reassembled payload with the end-to-end MD5 verified — and under a
 mid-transfer path loss with ``duplicate-1`` redundancy, every driver
@@ -62,19 +62,6 @@ def sim_striped(payload: bytes, redundancy: str) -> tuple[bytes, bool]:
     return bytes(delivered), True
 
 
-def threaded_striped(payload: bytes, redundancy: str) -> tuple[bytes, bool]:
-    from repro.sockets.striped import StripedThreadedServer, send_striped
-
-    with StripedThreadedServer("127.0.0.1") as server:
-        routes = [[server.address]] * 3
-        send_striped(
-            routes, payload, redundancy=redundancy, sndbuf=64 * 1024
-        )
-        assert server.wait_for_sessions(1, timeout=30.0)
-        result = server.results[0]
-    return result.payload, bool(result.digest_ok)
-
-
 def async_striped(payload: bytes, redundancy: str) -> tuple[bytes, bool]:
     from repro.asockets.striped import AsyncStripedServer, send_striped
 
@@ -95,12 +82,10 @@ def async_striped(payload: bytes, redundancy: str) -> tuple[bytes, bool]:
 @pytest.mark.parametrize("redundancy", REDUNDANCIES)
 def test_all_drivers_deliver_byte_identical_payload(redundancy):
     sim_bytes, sim_md5 = sim_striped(PAYLOAD, redundancy)
-    thr_bytes, thr_md5 = threaded_striped(PAYLOAD, redundancy)
     aio_bytes, aio_md5 = async_striped(PAYLOAD, redundancy)
-    assert sim_md5 and thr_md5 and aio_md5
+    assert sim_md5 and aio_md5
     assert sim_bytes == PAYLOAD
-    assert thr_bytes == PAYLOAD
-    assert aio_bytes == PAYLOAD  # hence all three byte-identical
+    assert aio_bytes == PAYLOAD  # hence byte-identical
 
 
 # -- zero-resume degradation vs the failover baseline ------------------------
@@ -129,25 +114,27 @@ def test_sim_duplicate1_depot_kill_needs_zero_resume_roundtrips():
     assert baseline.failovers >= 1  # >= 1 RESUME_QUERY round-trip
 
 
-def test_threaded_duplicate1_sublink_crash_needs_zero_resume_roundtrips():
-    """Same claim on a real driver: one route dies mid-transfer (RST
+def test_asyncio_duplicate1_sublink_crash_needs_zero_resume_roundtrips():
+    """Same claim on real sockets: one route dies mid-transfer (RST
     from a crashing relay); the duplicate-covered session degrades and
     completes — no rebind, no resume query, payload intact."""
-    from repro.sockets.striped import StripedThreadedServer, send_striped
+    from repro.asockets.striped import AsyncStripedServer, send_striped
     from tests.sockets.test_striped_sockets import _CrashingRelay
 
     events = []
     payload = random.Random(5).randbytes(16 * MIB)
-    with StripedThreadedServer("127.0.0.1") as server:
+    with AsyncStripedServer("127.0.0.1") as server:
         relay = _CrashingRelay()
         routes = [
             [relay.address, server.address],  # dies mid-transfer
             [server.address],
             [server.address],
         ]
-        report = send_striped(
-            routes, payload, redundancy="duplicate-1",
-            sndbuf=64 * 1024, observer=events.append,
+        report = asyncio.run(
+            send_striped(
+                routes, payload, redundancy="duplicate-1",
+                sndbuf=64 * 1024, observer=events.append,
+            )
         )
         assert server.wait_for_sessions(1, timeout=30.0)
         result = server.results[0]

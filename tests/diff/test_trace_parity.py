@@ -1,4 +1,4 @@
-"""Differential: span topology parity across sim, threaded and asyncio.
+"""Differential: span topology parity between the sim and asyncio.
 
 The same cascaded transfer (client -> one depot -> terminal server)
 must produce the *same trace*, whichever driver carried it: identical
@@ -20,7 +20,6 @@ from repro.lsl.core import real_digest_factory
 from repro.lsl.depot import Depot
 from repro.lsl.server import LslServer
 from repro.net.topology import Network
-from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
 from repro.tcp.sockets import TcpStack
 from repro.telemetry.tracing import TraceSpool
 
@@ -113,30 +112,6 @@ def run_sim():
     return _normalize(spools)
 
 
-def run_threaded():
-    cs, ds, ss = _spool_trio()
-    with ThreadedLslServer(tracer=ss) as server:
-        depot = ThreadedDepot(tracer=ds)
-        try:
-            with LslSocketClient(
-                [depot.address, server.address],
-                payload_length=len(PAYLOAD),
-                digest_factory=real_digest_factory(PAYLOAD),
-                tracer=cs,
-            ) as client:
-                client.sendall(PAYLOAD)
-                client.finish()
-            assert server.wait_for_sessions(1)
-            assert server.results[0].digest_ok is True
-            # the relay span closes when the depot notices EOF; spools
-            # drain asynchronously relative to the client's close()
-            assert _wait(lambda: ds.open_span_count() == 0)
-            assert _wait(lambda: ss.open_span_count() == 0)
-        finally:
-            depot.shutdown()
-    return _normalize((cs, ds, ss))
-
-
 def run_asyncio():
     cs, ds, ss = _spool_trio()
     with AsyncLslServer(tracer=ss) as server:
@@ -165,16 +140,5 @@ def test_sim_topology_matches_canonical():
     assert run_sim() == EXPECTED
 
 
-def test_threaded_topology_matches_canonical():
-    assert run_threaded() == EXPECTED
-
-
 def test_asyncio_topology_matches_canonical():
     assert run_asyncio() == EXPECTED
-
-
-def test_all_three_drivers_agree():
-    """The differential proper: one transfer, three drivers, one
-    normalized trace."""
-    sim, threaded, async_ = run_sim(), run_threaded(), run_asyncio()
-    assert sim == threaded == async_

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import asyncio
 from typing import Dict, Optional, Tuple
 
+from repro.asockets import AsyncLslClient
 from repro.net.loss import LossModel
 from repro.net.topology import Network
 from repro.tcp.options import TcpOptions
@@ -128,3 +130,52 @@ def run_transfer(
     )
     net.sim.run(until=until)
     return net, client, server
+
+
+class SyncClient:
+    """Blocking shorthand over :class:`~repro.asockets.AsyncLslClient`.
+
+    Connects in the constructor and runs every call on one private
+    event loop, so sync test code can interleave sends, sleeps and
+    assertions mid-session::
+
+        with SyncClient(route, payload_length=len(data)) as client:
+            client.sendall(data)
+            client.finish()
+    """
+
+    def __init__(self, route, **kwargs) -> None:
+        self._client = AsyncLslClient(route, **kwargs)
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._run(self._client.connect())
+        except BaseException:
+            self._loop.close()
+            raise
+
+    def _run(self, coro):
+        return self._loop.run_until_complete(coro)
+
+    def sendall(self, data: bytes) -> None:
+        self._run(self._client.sendall(data))
+
+    def finish(self) -> None:
+        self._run(self._client.finish())
+
+    def recv(self, n: int = 65536) -> bytes:
+        return self._run(self._client.recv(n))
+
+    def close(self) -> None:
+        self._client.close()
+        if not self._loop.is_closed():
+            self._loop.close()
+
+    def __getattr__(self, name):
+        # header, granted_offset, bytes_sent, trace_id, ...
+        return getattr(self._client, name)
+
+    def __enter__(self) -> "SyncClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

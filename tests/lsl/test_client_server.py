@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lsl.client import lsl_connect
-from repro.lsl.errors import LslError
+from repro.lsl.core import LslError
 from tests.lsl.conftest import LslWorld
 
 
@@ -232,7 +232,7 @@ def test_corrupted_payload_fails_digest(world):
     world.run()
     assert state["done"], "no segment was corrupted"
     assert world.errors, "digest mismatch not detected"
-    from repro.lsl.errors import DigestMismatch
+    from repro.lsl.core import DigestMismatch
 
     assert isinstance(world.errors[0], DigestMismatch)
 

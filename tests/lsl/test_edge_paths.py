@@ -74,7 +74,7 @@ def test_zero_length_session(world):
 
 def test_many_hops_header_roundtrip(world):
     """Maximum route length is encodable and parseable."""
-    from repro.lsl.header import LslHeader, MAX_HOPS, RouteHop
+    from repro.lsl.core import LslHeader, MAX_HOPS, RouteHop
 
     route = tuple(RouteHop(f"hop-{i}", 1000 + i) for i in range(MAX_HOPS))
     h = LslHeader(session_id=bytes(16), route=route, payload_length=10)

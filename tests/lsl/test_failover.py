@@ -13,7 +13,7 @@ from repro.lsl.client import (
     lsl_rebind,
     virtual_digest_factory,
 )
-from repro.lsl.errors import LslError, RouteError
+from repro.lsl.core import LslError, RouteError
 from repro.lsl.session import BackoffPolicy, new_session_id
 from tests.helpers import two_host_net
 from tests.lsl.conftest import LslWorld

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsl.errors import ProtocolError
-from repro.lsl.framing import (
+from repro.lsl.core import (
     FRAME_HEADER_LEN,
-    FrameDecoder,
     MAX_FRAME_PAYLOAD,
+    FrameDecoder,
+    ProtocolError,
     encode_frame_header,
 )
 from repro.tcp.buffers import StreamChunk

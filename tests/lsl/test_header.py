@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsl.errors import ProtocolError, RouteError
-from repro.lsl.header import (
+from repro.lsl.core import (
     HEADER_MAGIC,
+    MAX_HOPS,
+    STREAM_UNTIL_FIN,
     HeaderAccumulator,
     IncompleteHeader,
     LslHeader,
-    MAX_HOPS,
+    ProtocolError,
+    RouteError,
     RouteHop,
-    STREAM_UNTIL_FIN,
 )
 
 SID = bytes(range(16))

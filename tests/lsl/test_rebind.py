@@ -3,8 +3,11 @@
 import pytest
 
 from repro.lsl.client import lsl_connect, lsl_rebind
-from repro.lsl.errors import SessionUnknown
-from repro.lsl.header import LslHeader, RouteHop
+from repro.lsl.core import (
+    LslHeader,
+    RouteHop,
+    SessionUnknown,
+)
 from tests.lsl.conftest import LslWorld
 
 
@@ -156,7 +159,7 @@ def test_rebind_through_different_depot_route(world):
 
 
 def test_rebind_requires_digest_state(world):
-    from repro.lsl.errors import LslError
+    from repro.lsl.core import LslError
 
     with pytest.raises(LslError):
         lsl_rebind(

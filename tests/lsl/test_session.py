@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.lsl.errors import SessionUnknown
+from repro.lsl.core import SessionUnknown
 from repro.lsl.session import SessionRegistry, new_session_id
 
 

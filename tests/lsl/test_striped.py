@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lsl.errors import LslError, RouteError
+from repro.lsl.core import LslError, RouteError
 from repro.lsl.striped import StripedClient, StripedLslServer
 from repro.lsl.depot import Depot
 from repro.net.loss import BernoulliLoss

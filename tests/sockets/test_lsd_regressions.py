@@ -1,16 +1,15 @@
 """Regression tests for three ``lsd`` / server lifecycle bugs.
 
-1. **Relay idle-kill**: the downstream dial's ``connect_timeout`` used
-   to stay armed on the socket for the whole relay, so any mid-transfer
-   idle gap longer than it (a stalled sender, a long zero-window) killed
-   a healthy session with ``TimeoutError``.
-2. **Accept-loop permadeath**: any ``OSError`` out of ``accept()`` —
-   including per-connection transients like EMFILE or ECONNABORTED —
-   exited the accept loop, permanently wedging a depot/server that
-   ``/healthz`` still reported as healthy.
-3. **Silent session failure + thread-handle leak**: relay failures
-   vanished into ``except Exception: pass`` with no counter or event,
-   and ``_threads`` accumulated one dead handle per session forever.
+1. **Relay idle-kill**: the downstream dial's ``connect_timeout`` must
+   not stay armed for the whole relay, or any mid-transfer idle gap
+   longer than it (a stalled sender, a long zero-window) kills a
+   healthy session with ``TimeoutError``.
+2. **Accept-loop permadeath**: an ``OSError`` out of ``accept()`` that
+   is a per-connection transient (EMFILE, ECONNABORTED) must not exit
+   the accept loop, or the depot/server is wedged while ``/healthz``
+   still reports it healthy.
+3. **Silent session failure**: relay failures must land in a counter
+   and an event, never vanish into ``except Exception: pass``.
 
 Plus coverage for the depot failure-path counters: each distinct way a
 session can die must land in ``sessions_failed`` with an observable
@@ -26,8 +25,9 @@ import time
 
 import pytest
 
-from repro.lsl.errors import ProtocolError
-from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
+from repro.asockets import AsyncDepot, AsyncLslServer
+from repro.lsl.core import ProtocolError
+from tests.helpers import SyncClient
 
 PAYLOAD = bytes(range(256)) * 400  # 102_400 bytes
 
@@ -71,9 +71,9 @@ def test_relay_survives_idle_gap_longer_than_connect_timeout():
     """A sender that stalls longer than the depot's dial timeout and
     then resumes must still complete — the timeout bounds the *connect*
     only, never an established relay."""
-    with ThreadedLslServer() as server:
-        with ThreadedDepot(connect_timeout=0.3) as depot:
-            client = LslSocketClient(
+    with AsyncLslServer() as server:
+        with AsyncDepot(connect_timeout=0.3) as depot:
+            client = SyncClient(
                 [depot.address, server.address], payload_length=len(PAYLOAD)
             )
             half = len(PAYLOAD) // 2
@@ -92,41 +92,35 @@ def test_relay_survives_idle_gap_longer_than_connect_timeout():
 # -- bug 2: accept-loop permadeath -----------------------------------------
 
 
-class _FlakyListener:
-    """Listener proxy whose accept() fails transiently N times first."""
+def _inject_flaky_accepts(service, failures, err=errno.EMFILE):
+    """Make the service's next ``sock_accept`` calls fail with ``err``.
 
-    def __init__(self, inner, failures, err=errno.EMFILE):
-        self._inner = inner
-        self._failures = failures
-        self._err = err
+    The accept task is already parked inside a real ``sock_accept``, so
+    one throwaway connection (a FIN during the header phase, counted as
+    a failed session) flushes it; the loop then re-enters through the
+    patched method.
+    """
+    real = service._loop.sock_accept
+    state = {"left": failures}
 
-    def accept(self):
-        if self._failures > 0:
-            self._failures -= 1
-            raise OSError(self._err, "injected transient accept failure")
-        return self._inner.accept()
+    async def flaky(listener):
+        if state["left"] > 0:
+            state["left"] -= 1
+            raise OSError(err, "injected accept failure")
+        return await real(listener)
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _flush_pending_accept(address):
-    """The accept thread is already blocked inside the *real*
-    ``accept()`` when a test swaps in the flaky proxy — one throwaway
-    connection makes that in-flight call return, so the next loop
-    iteration goes through the proxy."""
-    dummy = socket.create_connection(address, timeout=5)
-    dummy.close()  # FIN during header phase; counted as a failed session
+    service._loop.sock_accept = flaky
+    dummy = socket.create_connection(service.address, timeout=5)
+    dummy.close()
 
 
 def test_depot_accept_loop_survives_transient_oserror():
     observer = RecordingObserver()
-    with ThreadedLslServer() as server:
-        with ThreadedDepot(observer=observer) as depot:
-            depot._listener = _FlakyListener(depot._listener, failures=2)
-            _flush_pending_accept(depot.address)
+    with AsyncLslServer() as server:
+        with AsyncDepot(observer=observer) as depot:
+            _inject_flaky_accepts(depot, failures=2)
             assert _wait(lambda: depot.counters.accept_errors == 2)
-            with LslSocketClient(
+            with SyncClient(
                 [depot.address, server.address], payload_length=len(PAYLOAD)
             ) as client:
                 client.sendall(PAYLOAD)
@@ -140,13 +134,10 @@ def test_depot_accept_loop_survives_transient_oserror():
 
 
 def test_server_accept_loop_survives_transient_oserror():
-    with ThreadedLslServer() as server:
-        server._listener = _FlakyListener(
-            server._listener, failures=1, err=errno.ECONNABORTED
-        )
-        _flush_pending_accept(server.address)
+    with AsyncLslServer() as server:
+        _inject_flaky_accepts(server, failures=1, err=errno.ECONNABORTED)
         assert _wait(lambda: server.accept_errors == 1)
-        with LslSocketClient(
+        with SyncClient(
             [server.address], payload_length=len(PAYLOAD)
         ) as client:
             client.sendall(PAYLOAD)
@@ -160,17 +151,20 @@ def test_server_accept_loop_survives_transient_oserror():
 def test_depot_accept_loop_exits_on_fatal_errno():
     """EBADF means the listener itself is gone — the loop must exit,
     not spin on a dead socket."""
-    depot = ThreadedDepot()
-    depot._listener = _FlakyListener(
-        depot._listener, failures=10_000, err=errno.EBADF
-    )
-    _flush_pending_accept(depot.address)
-    assert _wait(lambda: not depot._accept_thread.is_alive())
+    depot = AsyncDepot()
+    _inject_flaky_accepts(depot, failures=10_000, err=errno.EBADF)
+    assert _wait(lambda: depot.counters.sessions_failed == 1)
+    # a spinning loop would count accept errors; an exited one never
+    # accepts again
+    late = socket.create_connection(depot.address, timeout=5)
+    time.sleep(0.2)
     assert depot.counters.accept_errors == 0
+    assert depot.counters.sessions_accepted == 1
+    late.close()
     depot.shutdown()
 
 
-# -- bug 3: silent failures + thread-handle leak ---------------------------
+# -- bug 3: silent failures -------------------------------------------------
 
 
 def test_failed_relay_emits_event_and_counts():
@@ -183,11 +177,11 @@ def test_failed_relay_emits_event_and_counts():
     probe.bind(("127.0.0.1", 0))
     dead_address = probe.getsockname()
     probe.close()
-    with ThreadedDepot(observer=observer) as depot:
+    with AsyncDepot(observer=observer) as depot:
         # sync establishment never completes: the depot hangs up after
         # the refused dial, which the client sees as EOF mid-handshake
         with pytest.raises((OSError, ProtocolError)):
-            with LslSocketClient(
+            with SyncClient(
                 [depot.address, dead_address],
                 payload_length=len(PAYLOAD),
                 timeout=5,
@@ -204,7 +198,7 @@ def test_failed_relay_emits_event_and_counts():
 
 def test_rejected_header_counts_as_failed_session():
     observer = RecordingObserver()
-    with ThreadedDepot(observer=observer) as depot:
+    with AsyncDepot(observer=observer) as depot:
         raw = socket.create_connection(depot.address, timeout=5)
         raw.sendall(b"\x00" * 64)  # not an LSL header
         raw.shutdown(socket.SHUT_WR)
@@ -216,7 +210,7 @@ def test_rejected_header_counts_as_failed_session():
 
 def test_upstream_fin_during_header_counts_as_failed_session():
     observer = RecordingObserver()
-    with ThreadedDepot(observer=observer) as depot:
+    with AsyncDepot(observer=observer) as depot:
         raw = socket.create_connection(depot.address, timeout=5)
         raw.sendall(b"LSL")  # a header prefix, then vanish
         raw.close()
@@ -225,31 +219,13 @@ def test_upstream_fin_during_header_counts_as_failed_session():
     assert detail is not None and detail["reason"]
 
 
-def test_session_thread_handles_are_reaped():
-    """``_threads`` must not grow one dead handle per session."""
-    with ThreadedLslServer() as server:
-        with ThreadedDepot() as depot:
-            for _ in range(12):
-                with LslSocketClient(
-                    [depot.address, server.address], payload_length=4
-                ) as client:
-                    client.sendall(b"abcd")
-                    client.finish()
-            assert server.wait_for_sessions(12, timeout=15)
-            assert _wait(lambda: depot.counters.active_sessions == 0)
-            # at least the dead majority is gone; before the fix this
-            # was always exactly 12
-            assert len(depot._threads) < 12
-    assert depot.counters.sessions_completed == 12
-
-
 def test_abort_sessions_resets_live_relays():
-    """``shutdown(abort_sessions=True)`` must actually sever relays —
+    """A crash shutdown (``drain=False``) must actually sever relays —
     including pumps parked inside ``recv`` — so peers observe the
     crash instead of hanging on a half-dead depot."""
-    with ThreadedLslServer() as server:
-        depot = ThreadedDepot()
-        client = LslSocketClient(
+    with AsyncLslServer() as server:
+        depot = AsyncDepot()
+        client = SyncClient(
             [depot.address, server.address], payload_length=len(PAYLOAD)
         )
         client.sendall(PAYLOAD[: len(PAYLOAD) // 2])
@@ -260,7 +236,7 @@ def test_abort_sessions_resets_live_relays():
             return live is not None and live.receiver.payload_received >= n
 
         assert _wait(lambda: server_got(len(PAYLOAD) // 2))
-        depot.shutdown(abort_sessions=True)
+        depot.shutdown(drain=False)
         # the client's next writes must fail fast, not block forever
         rest = PAYLOAD[len(PAYLOAD) // 2 :]
         with pytest.raises(OSError):

@@ -17,13 +17,16 @@ import urllib.request
 
 import pytest
 
-from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
-from repro.sockets.obs import (
+from repro.asockets import AsyncDepot, AsyncLslServer
+from repro.telemetry.exposition import parse_prometheus_text
+from repro.telemetry.obs import (
     JsonEventLog,
     dump_snapshot,
     install_sigusr1_dump,
 )
-from repro.telemetry.exposition import parse_prometheus_text
+from tests.helpers import SyncClient
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 def _get(url, timeout=5):
@@ -82,13 +85,13 @@ class TestLiveExposition:
         # /healthz while relaying a real-socket transfer
         log = JsonEventLog(capacity=64)
         payload = os.urandom(200_000)
-        with ThreadedLslServer(
+        with AsyncLslServer(
             observer=log.protocol_observer("server")
-        ) as server, ThreadedDepot(
+        ) as server, AsyncDepot(
             observer=log.protocol_observer("depot")
         ) as depot:
             with depot.expose(event_log=log) as exposer:
-                with LslSocketClient(
+                with SyncClient(
                     [depot.address, server.address],
                     payload_length=len(payload),
                 ) as c:
@@ -133,7 +136,7 @@ class TestLiveExposition:
 
     def test_unknown_path_404(self):
         log = JsonEventLog()
-        with ThreadedDepot() as depot, depot.expose(event_log=log) as ex:
+        with AsyncDepot() as depot, depot.expose(event_log=log) as ex:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(ex.url + "/nope")
             assert err.value.code == 404
@@ -141,11 +144,11 @@ class TestLiveExposition:
     def test_server_exposition(self):
         payload = os.urandom(10_000)
         log = JsonEventLog()
-        with ThreadedLslServer(
+        with AsyncLslServer(
             observer=log.protocol_observer("server")
         ) as server:
             with server.expose(event_log=log) as ex:
-                with LslSocketClient(
+                with SyncClient(
                     [server.address], payload_length=len(payload)
                 ) as c:
                     c.sendall(payload)
@@ -203,7 +206,7 @@ class TestLsdDaemon:
     def test_runner_lsd_serves_and_dumps(self, tmp_path):
         """`repro-lsl lsd`: live daemon, exposition, SIGUSR1 snapshot."""
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.abspath("src")
+        env["PYTHONPATH"] = os.path.abspath(SRC)
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.experiments.runner", "lsd",
@@ -217,13 +220,13 @@ class TestLsdDaemon:
         try:
             lsd_line = proc.stdout.readline()
             expose_line = proc.stdout.readline()
-            assert "lsd (threads) listening on" in lsd_line
+            assert "lsd listening on" in lsd_line
             depot_port = int(lsd_line.rsplit(":", 1)[1])
             url = expose_line.split()[-1].rsplit("/metrics", 1)[0]
 
             payload = os.urandom(50_000)
-            with ThreadedLslServer() as server:
-                with LslSocketClient(
+            with AsyncLslServer() as server:
+                with SyncClient(
                     [("127.0.0.1", depot_port), server.address],
                     payload_length=len(payload),
                 ) as c:

@@ -1,21 +1,24 @@
-"""Real-socket prototype tests (localhost, threaded)."""
+"""Real-socket client / lsd / server tests (localhost)."""
 
+import asyncio
 import os
-import random
 import socket
 
 import pytest
 
-from repro.lsl.errors import LslError
-from repro.lsl.header import LslHeader, RouteHop
-from repro.sockets import LslSocketClient, ThreadedDepot, ThreadedLslServer
-from repro.sockets.wire import read_header
+from repro.lsl.core import (
+    LslError,
+    LslHeader,
+    RouteHop,
+)
+from repro.asockets import AsyncDepot, AsyncLslServer, read_header
+from tests.helpers import SyncClient
 
 
 def test_direct_session_roundtrip():
     payload = os.urandom(50_000)
-    with ThreadedLslServer() as server:
-        with LslSocketClient([server.address], payload_length=len(payload)) as c:
+    with AsyncLslServer() as server:
+        with SyncClient([server.address], payload_length=len(payload)) as c:
             c.sendall(payload)
             c.finish()
         assert server.wait_for_sessions(1)
@@ -28,9 +31,9 @@ def test_direct_session_roundtrip():
 
 def test_one_depot_relay():
     payload = os.urandom(200_000)
-    with ThreadedLslServer() as server, ThreadedDepot() as depot:
+    with AsyncLslServer() as server, AsyncDepot() as depot:
         route = [depot.address, server.address]
-        with LslSocketClient(route, payload_length=len(payload)) as c:
+        with SyncClient(route, payload_length=len(payload)) as c:
             c.sendall(payload)
             c.finish()
         assert server.wait_for_sessions(1)
@@ -45,9 +48,9 @@ def test_one_depot_relay():
 
 def test_two_depot_cascade():
     payload = os.urandom(100_000)
-    with ThreadedLslServer() as server, ThreadedDepot() as d1, ThreadedDepot() as d2:
+    with AsyncLslServer() as server, AsyncDepot() as d1, AsyncDepot() as d2:
         route = [d1.address, d2.address, server.address]
-        with LslSocketClient(route, payload_length=len(payload)) as c:
+        with SyncClient(route, payload_length=len(payload)) as c:
             c.sendall(payload)
             c.finish()
         assert server.wait_for_sessions(1)
@@ -58,8 +61,8 @@ def test_two_depot_cascade():
 
 
 def test_server_reply_reaches_client_through_depot():
-    with ThreadedLslServer(reply=b"PONG") as server, ThreadedDepot() as depot:
-        with LslSocketClient(
+    with AsyncLslServer(reply=b"PONG") as server, AsyncDepot() as depot:
+        with SyncClient(
             [depot.address, server.address], payload_length=4
         ) as c:
             c.sendall(b"PING")
@@ -74,8 +77,8 @@ def test_server_reply_reaches_client_through_depot():
 
 
 def test_stream_until_fin_mode():
-    with ThreadedLslServer() as server:
-        with LslSocketClient([server.address], digest=False) as c:
+    with AsyncLslServer() as server:
+        with SyncClient([server.address], digest=False) as c:
             c.sendall(b"part one ")
             c.sendall(b"part two")
             c.finish()
@@ -86,12 +89,12 @@ def test_stream_until_fin_mode():
 
 def test_digest_requires_length():
     with pytest.raises(LslError):
-        LslSocketClient([("localhost", 1)], digest=True)
+        SyncClient([("localhost", 1)], digest=True)
 
 
 def test_payload_overrun_rejected():
-    with ThreadedLslServer() as server:
-        with LslSocketClient([server.address], payload_length=3) as c:
+    with AsyncLslServer() as server:
+        with SyncClient([server.address], payload_length=3) as c:
             with pytest.raises(LslError):
                 c.sendall(b"toolong")
             c.sendall(b"abc")
@@ -100,8 +103,8 @@ def test_payload_overrun_rejected():
 
 
 def test_finish_with_missing_bytes_rejected():
-    with ThreadedLslServer() as server:
-        with LslSocketClient([server.address], payload_length=10) as c:
+    with AsyncLslServer() as server:
+        with SyncClient([server.address], payload_length=10) as c:
             c.sendall(b"only5")
             with pytest.raises(LslError):
                 c.finish()
@@ -111,7 +114,7 @@ def test_finish_with_missing_bytes_rejected():
 
 
 def test_depot_rejects_being_final_hop():
-    with ThreadedDepot() as depot:
+    with AsyncDepot() as depot:
         sock = socket.create_connection(depot.address, timeout=5)
         header = LslHeader(
             session_id=bytes(16),
@@ -130,7 +133,7 @@ def test_depot_rejects_being_final_hop():
 
 
 def test_server_rejects_intermediate_hop_role():
-    with ThreadedLslServer() as server:
+    with AsyncLslServer() as server:
         sock = socket.create_connection(server.address, timeout=5)
         header = LslHeader(
             session_id=bytes(16),
@@ -161,7 +164,13 @@ def test_wire_read_header_roundtrip():
     )
     a.sendall(header.encode() + b"surplus-untouched")
     a.close()
-    parsed, surplus = read_header(b)
+    b.setblocking(False)
+
+    async def _read():
+        return await read_header(asyncio.get_running_loop(), b)
+
+    parsed, surplus = asyncio.run(_read())
+    b.setblocking(True)
     assert parsed == header
     # over-read bytes are handed back, in order, as surplus
     got = surplus
@@ -176,10 +185,10 @@ def test_wire_read_header_roundtrip():
 
 def test_concurrent_sessions_through_one_depot():
     payloads = [os.urandom(30_000) for _ in range(4)]
-    with ThreadedLslServer() as server, ThreadedDepot() as depot:
+    with AsyncLslServer() as server, AsyncDepot() as depot:
         clients = []
         for p in payloads:
-            c = LslSocketClient(
+            c = SyncClient(
                 [depot.address, server.address], payload_length=len(p)
             )
             c.sendall(p)

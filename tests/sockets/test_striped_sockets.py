@@ -1,5 +1,6 @@
-"""Striped multipath transfer over real sockets (threaded driver)."""
+"""Striped multipath transfer over real sockets."""
 
+import asyncio
 import hashlib
 import os
 import random
@@ -9,14 +10,23 @@ import time
 
 import pytest
 
-from repro.lsl.errors import LslError
-from repro.sockets import StripedThreadedServer, ThreadedDepot, send_striped
+from repro.asockets import AsyncDepot, AsyncStripedServer, async_send_striped
+from repro.lsl.core import LslError
+
+
+def send_striped(routes, payload, **kwargs):
+    """One complete striped send from sync test code."""
+    return asyncio.run(async_send_striped(routes, payload, **kwargs))
 
 
 def test_striped_roundtrip_three_sublinks():
     payload = os.urandom(2 << 20)
-    with StripedThreadedServer() as server:
-        report = send_striped([[server.address]] * 3, payload)
+    with AsyncStripedServer() as server:
+        # a small send buffer engages demand pacing on loopback, so
+        # every sublink joins before the first one drains the payload
+        report = send_striped(
+            [[server.address]] * 3, payload, sndbuf=64 * 1024
+        )
         assert server.wait_for_sessions(1)
     assert not server.errors
     (result,) = server.results
@@ -29,8 +39,8 @@ def test_striped_roundtrip_three_sublinks():
 
 def test_striped_through_depots():
     payload = os.urandom(1 << 20)
-    with StripedThreadedServer() as server, ThreadedDepot() as d1, \
-            ThreadedDepot() as d2:
+    with AsyncStripedServer() as server, AsyncDepot() as d1, \
+            AsyncDepot() as d2:
         routes = [
             [d1.address, server.address],
             [d2.address, server.address],
@@ -45,7 +55,7 @@ def test_striped_through_depots():
 @pytest.mark.parametrize("mode", ["duplicate-1", "parity"])
 def test_redundant_striped_roundtrip(mode):
     payload = os.urandom(1 << 20)
-    with StripedThreadedServer() as server:
+    with AsyncStripedServer() as server:
         report = send_striped(
             [[server.address]] * 3, payload,
             stripe_bytes=64 * 1024, redundancy=mode,
@@ -109,7 +119,7 @@ def test_sublink_crash_degrades_under_duplicate_redundancy():
     payload = os.urandom(16 << 20)
     relay = _CrashingRelay()
     try:
-        with StripedThreadedServer() as server:
+        with AsyncStripedServer() as server:
             report = send_striped(
                 [[server.address], [relay.address]],
                 payload,
@@ -138,7 +148,7 @@ def test_all_routes_dead_raises():
 
 def test_duplicate_trailer_across_sublinks_discarded():
     payload = os.urandom(256 * 1024)
-    with StripedThreadedServer() as server:
+    with AsyncStripedServer() as server:
         send_striped(
             [[server.address]] * 2, payload,
             stripe_bytes=32 * 1024, redundancy="duplicate-1",
@@ -153,7 +163,7 @@ def test_duplicate_trailer_across_sublinks_discarded():
 def test_session_id_is_stable_across_sublinks():
     payload = os.urandom(64 * 1024)
     sid = random.Random(9).randbytes(16)
-    with StripedThreadedServer() as server:
+    with AsyncStripedServer() as server:
         report = send_striped([[server.address]] * 2, payload, session_id=sid)
         assert server.wait_for_sessions(1)
     assert report.session_id == sid

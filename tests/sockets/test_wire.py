@@ -1,23 +1,34 @@
-"""Tests for the blocking wire helpers."""
+"""Tests for the async wire helpers."""
 
+import asyncio
 import socket
 
 import pytest
 
-from repro.lsl.errors import ProtocolError
-from repro.lsl.header import LslHeader, RouteHop
-from repro.sockets.wire import read_exact, read_header
+from repro.asockets import read_exact, read_header
+from repro.lsl.core import LslHeader, ProtocolError, RouteHop
 
 
 def pair():
-    return socket.socketpair()
+    a, b = socket.socketpair()
+    b.setblocking(False)
+    return a, b
+
+
+def run(helper, sock, *args):
+    """Run one async wire helper against ``sock`` to completion."""
+
+    async def _run():
+        return await helper(asyncio.get_running_loop(), sock, *args)
+
+    return asyncio.run(_run())
 
 
 def test_read_exact():
     a, b = pair()
     a.sendall(b"abcdef")
-    assert read_exact(b, 3) == b"abc"
-    assert read_exact(b, 3) == b"def"
+    assert run(read_exact, b, 3) == b"abc"
+    assert run(read_exact, b, 3) == b"def"
     a.close()
     b.close()
 
@@ -27,7 +38,7 @@ def test_read_exact_eof_raises():
     a.sendall(b"ab")
     a.close()
     with pytest.raises(ProtocolError):
-        read_exact(b, 5)
+        run(read_exact, b, 5)
     b.close()
 
 
@@ -40,10 +51,11 @@ def test_read_header_returns_surplus():
     )
     a.sendall(h.encode() + b"PAYLOAD")
     a.close()
-    header, surplus = read_header(b)
+    header, surplus = run(read_header, b)
     assert header == h
     # buffered reads may run past the header; nothing is lost — the
     # overshoot comes back as surplus ahead of the remaining stream
+    b.setblocking(True)
     got = surplus
     while True:
         piece = b.recv(100)
@@ -58,7 +70,7 @@ def test_read_header_bad_magic():
     a, b = pair()
     a.sendall(b"NOPE" + bytes(60))
     with pytest.raises(ProtocolError):
-        read_header(b)
+        run(read_header, b)
     a.close()
     b.close()
 
@@ -69,5 +81,5 @@ def test_read_header_truncated_stream():
     a.sendall(h.encode()[:10])
     a.close()
     with pytest.raises(ProtocolError):
-        read_header(b)
+        run(read_header, b)
     b.close()

@@ -1,6 +1,7 @@
 """Unit tests for the fleet collector: merge, skew, trace, report."""
 
 import json
+from pathlib import Path
 
 from repro.experiments.runner import main as cli_main
 from repro.telemetry.chrometrace import validate_trace_file
@@ -14,6 +15,11 @@ from repro.telemetry.collect import (
 )
 from repro.telemetry.diagnose.schema import validate_flow_report_file
 from repro.telemetry.tracing import TraceSpool
+
+FLEET_SCHEMA = (
+    Path(__file__).resolve().parents[2]
+    / "docs" / "schemas" / "fleet_report.schema.json"
+)
 
 T1 = "ab" * 16
 T2 = "cd" * 16
@@ -96,9 +102,7 @@ def test_fleet_trace_valid_and_rebased(tmp_path):
 
 def test_fleet_report_scores_slos(tmp_path):
     paths = write_fleet_artifacts(_fixture_records(), tmp_path)
-    assert validate_flow_report_file(
-        paths["report"], "docs/schemas/fleet_report.schema.json"
-    ) == []
+    assert validate_flow_report_file(paths["report"], FLEET_SCHEMA) == []
     report = json.loads(paths["report"].read_text())
     assert report["goodput"]["count"] == 1
     assert report["goodput"]["p50_mbps"] == report["goodput"]["p99_mbps"] == 4.0
